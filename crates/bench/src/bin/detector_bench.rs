@@ -15,21 +15,8 @@
 //! ```
 
 use ff_bench::detector::{aggregate_json, sweep, DetectorBenchConfig};
-use ff_bench::{compare, print_table};
+use ff_bench::{artifact_path, compare, json_string, print_table};
 use std::time::Instant;
-
-fn bench_path() -> std::path::PathBuf {
-    // crates/bench → repo root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_detector.json")
-}
-
-/// Extract the string following `"key": "` in the committed artifact.
-fn json_string(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = doc.find(&pat)? + pat.len();
-    let end = doc[at..].find('"')?;
-    Some(doc[at..at + end].to_string())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -58,7 +45,7 @@ fn main() {
     );
 
     if check {
-        let committed = std::fs::read_to_string(bench_path())
+        let committed = std::fs::read_to_string(artifact_path("BENCH_detector.json"))
             .expect("--check requires a committed BENCH_detector.json (run --write first)");
         let want = json_string(&committed, "digest").expect("BENCH_detector.json carries a digest");
         assert_eq!(
@@ -116,8 +103,9 @@ fn main() {
 
     let json = aggregate_json(&cfg, &result);
     if write {
-        std::fs::write(bench_path(), &json).expect("write BENCH_detector.json");
-        println!("wrote {}", bench_path().display());
+        std::fs::write(artifact_path("BENCH_detector.json"), &json)
+            .expect("write BENCH_detector.json");
+        println!("wrote {}", artifact_path("BENCH_detector.json").display());
     } else {
         print!("{json}");
     }

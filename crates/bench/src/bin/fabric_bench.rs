@@ -18,13 +18,8 @@
 //! compared.
 
 use ff_bench::fabric::{bench_json, compare_loopback, measure, trace_digest, FabricBenchConfig};
-use ff_bench::print_table;
+use ff_bench::{artifact_path, print_table};
 use ff_reduce::{calibrate, InMemProvider, TcpProvider};
-
-fn artifact_path(name: &str) -> std::path::PathBuf {
-    // crates/bench → repo root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

@@ -20,21 +20,8 @@
 //! minutes of wall-clock on one core.
 
 use ff_bench::fleet::{aggregate_json, sweep, whatif_rows, FleetConfig};
-use ff_bench::print_table;
+use ff_bench::{artifact_path, json_string, print_table};
 use std::time::Instant;
-
-fn bench_path() -> std::path::PathBuf {
-    // crates/bench → repo root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json")
-}
-
-/// Extract the string following `"key": "` in the committed artifact.
-fn json_string(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = doc.find(&pat)? + pat.len();
-    let end = doc[at..].find('"')?;
-    Some(doc[at..at + end].to_string())
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -86,7 +73,7 @@ fn main() {
         // The committed artifact embeds the *small* grid digest alongside
         // the full aggregate, so CI re-proves determinism without paying
         // for 216 full-scale cells.
-        let committed = std::fs::read_to_string(bench_path())
+        let committed = std::fs::read_to_string(artifact_path("BENCH_fleet.json"))
             .expect("--check requires a committed BENCH_fleet.json (run --write first)");
         let want = json_string(&committed, "small_grid_digest")
             .expect("BENCH_fleet.json has small_grid_digest");
@@ -146,8 +133,8 @@ fn main() {
             &format!("  \"bench\": \"fleet\",\n  \"small_grid_digest\": \"{small_digest}\","),
             1,
         );
-        std::fs::write(bench_path(), &json).expect("write BENCH_fleet.json");
-        println!("wrote {}", bench_path().display());
+        std::fs::write(artifact_path("BENCH_fleet.json"), &json).expect("write BENCH_fleet.json");
+        println!("wrote {}", artifact_path("BENCH_fleet.json").display());
     } else {
         print!("{json}");
     }

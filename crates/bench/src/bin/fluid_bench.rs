@@ -28,23 +28,12 @@
 //! same-process determinism check.
 
 use ff_bench::hai::HaiRun;
+use ff_bench::{artifact_path, json_number};
 use ff_desim::{FluidSim, Route, SolverMode};
 use ff_reduce::cluster::ClusterConfig;
 use ff_reduce::model::{hfreduce_steady, HfReduceOptions};
 use ff_util::scengen::{GenConfig, ScenEvent, Scenario};
 use std::time::Instant;
-
-/// Extract the number following `"key":` in a flat JSON document whose
-/// keys are unique (which `BENCH_fluid.json` guarantees by construction).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// One deterministic pure-solver workload mix; returns structural events.
 fn solver_workload() -> u64 {
@@ -146,11 +135,6 @@ fn best_of<T: PartialEq + std::fmt::Debug>(n: usize, mut f: impl FnMut() -> T) -
     (best, out.expect("n >= 1"))
 }
 
-fn bench_path() -> std::path::PathBuf {
-    // crates/bench → repo root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fluid.json")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let write = args.iter().any(|a| a == "--write");
@@ -165,7 +149,7 @@ fn main() {
     );
 
     if check {
-        let committed = std::fs::read_to_string(bench_path())
+        let committed = std::fs::read_to_string(artifact_path("BENCH_fluid.json"))
             .expect("--check requires a committed BENCH_fluid.json (run --write first)");
         let base =
             json_number(&committed, "events_per_sec").expect("BENCH_fluid.json has events_per_sec");
@@ -238,8 +222,8 @@ fn main() {
         hai_util as f64 / 100.0,
     );
     if write {
-        std::fs::write(bench_path(), &json).expect("write BENCH_fluid.json");
-        println!("wrote {}", bench_path().display());
+        std::fs::write(artifact_path("BENCH_fluid.json"), &json).expect("write BENCH_fluid.json");
+        println!("wrote {}", artifact_path("BENCH_fluid.json").display());
     } else {
         print!("{json}");
     }

@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper (run with
 //! `cargo run -p ff-bench --release --bin <name>`), plus Criterion
 //! microbenchmarks of the executable hot paths. This library holds the
-//! shared report formatting.
+//! shared report formatting and the artifact helpers of the
+//! `--write/--check` mains.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -95,6 +96,33 @@ pub fn compare(metric: &str, paper: &str, measured: &str) {
     println!("{metric:<44} paper: {paper:<18} measured: {measured}");
 }
 
+/// Path of a committed artifact (`BENCH_*.json`, `calibration.json`) at
+/// the repository root, where the `--write/--check` mains keep them.
+pub fn artifact_path(name: &str) -> std::path::PathBuf {
+    // crates/bench → repo root.
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
+}
+
+/// Extract the string following `"key": "` in a committed artifact.
+pub fn json_string(doc: &str, key: &str) -> Option<String> {
+    let pat = format!("\"{key}\": \"");
+    let at = doc.find(&pat)? + pat.len();
+    let end = doc[at..].find('"')?;
+    Some(doc[at..at + end].to_string())
+}
+
+/// Extract the number following `"key":` in a flat JSON document whose
+/// keys are unique (which `BENCH_fluid.json` guarantees by construction).
+pub fn json_number(doc: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\":");
+    let at = doc.find(&pat)? + pat.len();
+    let rest = doc[at..].trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +132,19 @@ mod tests {
         let b = bar("x", 5.0, 10.0, 20);
         assert!(b.contains(&"#".repeat(10)));
         assert!(!b.contains(&"#".repeat(11)));
+    }
+
+    #[test]
+    fn artifact_helpers_read_the_committed_shapes() {
+        let doc = r#"{"digest": "0123456789abcdef", "events_per_sec": 1.5e6, "n": -3}"#;
+        assert_eq!(
+            json_string(doc, "digest").as_deref(),
+            Some("0123456789abcdef")
+        );
+        assert_eq!(json_number(doc, "events_per_sec"), Some(1.5e6));
+        assert_eq!(json_number(doc, "n"), Some(-3.0));
+        assert_eq!(json_string(doc, "missing"), None);
+        assert!(artifact_path("BENCH_fluid.json").exists());
     }
 
     #[test]

@@ -32,10 +32,8 @@ fn small_grid_sweep_matches_golden_digest_within_budget() {
 
     // The committed artifact embeds the same digest, so the repo's JSON
     // and the code cannot drift apart silently.
-    let committed = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json"),
-    )
-    .expect("BENCH_fleet.json is committed");
+    let committed = std::fs::read_to_string(ff_bench::artifact_path("BENCH_fleet.json"))
+        .expect("BENCH_fleet.json is committed");
     assert!(
         committed.contains(&format!("\"small_grid_digest\": \"{GOLDEN_SMALL_DIGEST}\"")),
         "BENCH_fleet.json small_grid_digest disagrees with the code's golden"

@@ -1266,6 +1266,7 @@ impl FluidSim {
         seeds.clear();
         self.dirty = seeds;
         self.stats.components += comps.len() as u64;
+        self.stats.flow_solves += comp_flows.len() as u64;
 
         // Phase 2: solve. Components are independent; go wide when there
         // is enough work to amortize extraction, otherwise solve inline
@@ -1894,6 +1895,9 @@ mod tests {
         assert_eq!(s.flow_starts, 3);
         assert_eq!(s.cancels, 1);
         assert_eq!(s.completions, 2);
+        // Every non-empty component solved derives at least one rate.
+        assert!(s.flow_solves > 0);
+        assert!(s.flow_solves >= s.components - s.empty_components);
     }
 
     #[test]

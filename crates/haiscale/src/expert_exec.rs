@@ -7,12 +7,13 @@
 //! [`TcpProvider`](ff_reduce::TcpProvider).
 //!
 //! Each rank hosts one expert and a shard of the tokens, and drives a
-//! [`Communicator`] of its own. A step is: gate (here: any deterministic
-//! assignment) → **all2all dispatch** (each token's vector travels to its
-//! expert's rank) → expert computation → **all2all combine** (results
-//! return to the token's home rank, in order). The tests verify the
-//! end-to-end permutation is the identity composed with the expert
-//! transforms — the property a correct all2all pair must have.
+//! [`Communicator`](ff_reduce::Communicator) of its own. A step is: gate
+//! (here: any deterministic assignment) → **all2all dispatch** (each
+//! token's vector travels to its expert's rank) → expert computation →
+//! **all2all combine** (results return to the token's home rank, in
+//! order). The tests verify the end-to-end permutation is the identity
+//! composed with the expert transforms — the property a correct all2all
+//! pair must have.
 //!
 //! A peer dying mid-exchange surfaces as a typed
 //! [`CommError`](ff_reduce::CommError) — the same error surface as the
@@ -20,7 +21,7 @@
 //! to retry, reroute around the dead expert, or abort the step.
 
 use ff_reduce::fabric::FabricProvider;
-use ff_reduce::{CommError, Communicator, InMemProvider, Wire, WireCursor};
+use ff_reduce::{run_world, CommError, Wire, WireCursor};
 
 /// A routed token: its home rank and index there, plus its payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,44 +81,28 @@ where
     for row in &sends {
         assert_eq!(row.len(), n, "all2all needs an n×n send matrix");
     }
-    let fabrics = provider.world(n).expect("fabric world construction");
-    let results: Vec<Result<Vec<Vec<T>>, CommError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = sends
-            .into_iter()
-            .zip(fabrics)
-            .enumerate()
-            .map(|(me, (row, fab))| {
-                let is_dead = dead.contains(&me);
-                s.spawn(move || -> Result<Vec<Vec<T>>, CommError> {
-                    let comm = Communicator::new(fab);
-                    if is_dead {
-                        // A crashed process tears its endpoint down
-                        // loudly (hangup frame / TCP FIN); its own
-                        // "result" is its death.
-                        drop(comm);
-                        return Err(CommError::Disconnected { peer: me });
-                    }
-                    let mut comm = comm;
-                    comm.all2all(row, 0)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+    run_world(provider, None, sends, |me, row, comm| {
+        if dead.contains(&me) {
+            // A crashed process tears its endpoint down loudly
+            // (hangup frame / TCP FIN) — `run_world` drops the
+            // communicator as this rank returns; its own "result" is
+            // its death.
+            return Err(CommError::Disconnected { peer: me });
+        }
+        comm.all2all(row, 0)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// One MoE layer step over `ep` expert-parallel ranks, on `provider`'s
 /// fabric: `tokens[rank]` are the rank's token vectors, `gate` maps a
 /// token to its expert rank, `expert(rank, x)` is the expert computation.
 /// Each rank runs dispatch-all2all → expert → combine-all2all on one
-/// [`Communicator`] — the two exchanges share the same world, as a real
-/// networked MoE layer would. Returns the combined outputs in each
-/// token's original position, or the [`CommError`] a dying peer inflicted
-/// on either all2all.
+/// [`Communicator`](ff_reduce::Communicator) — the two exchanges share
+/// the same world, as a real networked MoE layer would. Returns the
+/// combined outputs in each token's original position, or the
+/// [`CommError`] a dying peer inflicted on either all2all.
 pub fn run_moe_layer_step<T, G, F, P>(
     tokens: Vec<Vec<T>>,
     gate: G,
@@ -146,42 +131,27 @@ where
             });
         }
     }
-    let fabrics = provider.world(n).expect("fabric world construction");
-    let results: Vec<Result<Vec<Vec<Routed<T>>>, CommError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = sends
+    let returned: Vec<Vec<Vec<Routed<T>>>> = run_world(provider, None, sends, |rank, row, comm| {
+        // Dispatch: tokens travel to their experts (seq 0).
+        let received = comm.all2all(row, 0)?;
+        // Expert computation on this rank.
+        let processed: Vec<Vec<Routed<T>>> = received
             .into_iter()
-            .zip(fabrics)
-            .enumerate()
-            .map(|(rank, (row, fab))| {
-                let expert = &expert;
-                s.spawn(move || -> Result<Vec<Vec<Routed<T>>>, CommError> {
-                    let mut comm = Communicator::new(fab);
-                    // Dispatch: tokens travel to their experts (seq 0).
-                    let received = comm.all2all(row, 0)?;
-                    // Expert computation on this rank.
-                    let processed: Vec<Vec<Routed<T>>> = received
-                        .into_iter()
-                        .map(|batch| {
-                            batch
-                                .into_iter()
-                                .map(|r| Routed {
-                                    data: expert(rank, &r.data),
-                                    ..r
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    // Combine: results return to their home ranks (seq 1).
-                    comm.all2all(processed, 1)
-                })
+            .map(|batch| {
+                batch
+                    .into_iter()
+                    .map(|r| Routed {
+                        data: expert(rank, &r.data),
+                        ..r
+                    })
+                    .collect()
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    });
-    let returned: Vec<Vec<Vec<Routed<T>>>> = results.into_iter().collect::<Result<_, _>>()?;
+        // Combine: results return to their home ranks (seq 1).
+        comm.all2all(processed, 1)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     // Scatter results into original positions.
     let mut out: Vec<Vec<Option<T>>> = tokens
         .iter()
@@ -207,44 +177,10 @@ where
         .collect())
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated free-function shims (one release of grace)
-// ---------------------------------------------------------------------------
-
-/// All2all over the default in-memory fabric.
-#[deprecated(note = "use `run_all2all(.., &InMemProvider)` or `Communicator::all2all`")]
-pub fn all2all<T: Wire + Send>(sends: Vec<Vec<Vec<T>>>) -> Result<Vec<Vec<Vec<T>>>, CommError> {
-    run_all2all(sends, &InMemProvider)
-}
-
-/// Fault-injected all2all over the default in-memory fabric.
-#[deprecated(note = "use `run_all2all_with_dead(.., &InMemProvider)`")]
-pub fn all2all_with_dead<T: Wire + Send>(
-    sends: Vec<Vec<Vec<T>>>,
-    dead: &[usize],
-) -> Result<Vec<Vec<Vec<T>>>, CommError> {
-    run_all2all_with_dead(sends, dead, &InMemProvider)
-}
-
-/// MoE layer step over the default in-memory fabric.
-#[deprecated(note = "use `run_moe_layer_step(.., &InMemProvider)`")]
-pub fn moe_layer_step<T, G, F>(
-    tokens: Vec<Vec<T>>,
-    gate: G,
-    expert: F,
-) -> Result<Vec<Vec<T>>, CommError>
-where
-    T: Wire + Send + Clone,
-    G: Fn(usize, usize, &T) -> usize,
-    F: Fn(usize, &T) -> T + Sync,
-{
-    run_moe_layer_step(tokens, gate, expert, &InMemProvider)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_reduce::TcpProvider;
+    use ff_reduce::{InMemProvider, TcpProvider};
 
     #[test]
     #[allow(clippy::needless_range_loop)] // (src, dst) indices are the point

@@ -36,8 +36,6 @@ pub mod pipeline;
 pub mod tensor;
 
 pub use ddp::{ddp_step, DdpBackend};
-#[allow(deprecated)]
-pub use expert_exec::{all2all, all2all_with_dead, moe_layer_step};
 pub use expert_exec::{run_all2all, run_all2all_with_dead, run_moe_layer_step, Routed};
 pub use fsdp::{fsdp_step, FsdpImpl};
 pub use memory::{memory_per_gpu, MemoryEstimate, ShardingStrategy};

@@ -2,10 +2,11 @@
 //!
 //! A `Communicator<F: Fabric>` wraps one rank's [`Fabric`] endpoint and
 //! provides every executable collective as a method — `allreduce` (double
-//! binary tree or ring), `reduce_to_root`, `broadcast`, `hfreduce`, and
-//! `all2all` — plus the plumbing they share: tag matching with an
-//! out-of-order stash, element serialization, peer-death bookkeeping, and
-//! the per-rank logical-clock observability discipline (a staged
+//! binary tree or ring), `reduce_scatter`, `allgather`, `reduce_to_root`,
+//! `broadcast`, `hfreduce`, and `all2all` — plus the plumbing they share:
+//! tag matching with an out-of-order stash, element serialization,
+//! peer-death bookkeeping, and the per-rank logical-clock observability
+//! discipline (a staged
 //! [`TrackBuf`] whose clock counts *elements moved*). The world-level
 //! drivers in [`exec`](crate::exec) spawn one thread per rank, hand each
 //! a `Communicator`, and commit the staged observability buffers only for
@@ -46,8 +47,8 @@ pub enum Algo {
         /// Number of pipeline chunks (clamped to `1..=len`).
         chunks: usize,
     },
-    /// Ring allreduce (reduce-scatter + allgather) — the NCCL-style
-    /// baseline. Needs at least one element per rank.
+    /// Ring allreduce — the NCCL-style baseline: literally
+    /// [`Communicator::reduce_scatter`] then [`Communicator::allgather`].
     Ring,
 }
 
@@ -365,13 +366,13 @@ impl<F: Fabric> Communicator<F> {
             if msg.from == from && msg.tag == tag {
                 return Ok(msg.bytes);
             }
-            let dup = self.stash.insert((msg.from, msg.tag), msg.bytes);
-            assert!(
-                dup.is_none(),
-                "duplicate message from rank {} tag {:?}",
-                msg.from,
-                msg.tag
-            );
+            // Two undelivered frames under one `(from, tag)` is something
+            // no in-tree collective sends: a misbehaving peer, not a bug
+            // to panic over.
+            let peer = msg.from;
+            if self.stash.insert((peer, msg.tag), msg.bytes).is_some() {
+                return Err(CommError::Protocol { peer });
+            }
         }
     }
 
@@ -396,8 +397,15 @@ impl<F: Fabric> Communicator<F> {
                 self.dbtree_allreduce_rank(&dt, data, chunks)
             }
             Algo::Ring => {
-                assert!(data.len() >= n, "ring needs at least one element per rank");
-                self.ring_allreduce_rank(data)
+                let shard = self.reduce_scatter(data.to_vec())?;
+                let full = self.allgather(&shard)?;
+                if full.len() != data.len() {
+                    return Err(CommError::Protocol {
+                        peer: self.ring_prev(),
+                    });
+                }
+                data.copy_from_slice(&full);
+                Ok(())
             }
         }
     }
@@ -439,36 +447,65 @@ impl<F: Fabric> Communicator<F> {
         Ok(())
     }
 
-    /// This rank's ring allreduce (reduce-scatter + allgather).
-    fn ring_allreduce_rank<E: Element>(&mut self, data: &mut [E]) -> Result<(), CommError> {
+    fn ring_prev(&self) -> usize {
+        (self.rank() + self.world_size() - 1) % self.world_size()
+    }
+
+    /// This rank's ring reduce-scatter: `data` is this rank's full-length
+    /// contribution; the result is the elementwise sum of every rank's
+    /// chunk `rank` of `chunk_ranges(len, world)` — the FSDP shard layout
+    /// (§II-B1). Chunks may be empty (`len < world`).
+    ///
+    /// Ring tags carry `tree = 0` here and `tree = 1` in
+    /// [`allgather`](Self::allgather). The predecessor cannot send the
+    /// first frame of its *next* reduce-scatter until this rank has
+    /// entered the allgather in between (and vice versa), so alternating
+    /// the two — a ring allreduce, an FSDP step, or any run of them —
+    /// never has two undelivered frames under one tag. (Repeating one of
+    /// them back to back needs only per-pair FIFO: a ring rank hears from
+    /// its predecessor alone, in the order it asks.)
+    pub fn reduce_scatter<E: Element>(&mut self, mut data: Vec<E>) -> Result<Vec<E>, CommError> {
         let n = self.world_size();
         let rank = self.rank();
         let ranges = chunk_ranges(data.len(), n);
-        let next = (rank + 1) % n;
-        let prev = (rank + n - 1) % n;
-        let mut step = 0u32;
-        // Reduce-scatter: after n-1 steps rank r owns the sum of chunk
-        // (r+1)%n.
+        let (next, prev) = ((rank + 1) % n, self.ring_prev());
+        // Step s forwards chunk (rank − s − 1) and folds this rank's
+        // contribution into chunk (rank − s − 2) arriving from upstream;
+        // the last chunk to arrive is `rank`, now fully reduced.
         for s in 0..n - 1 {
-            let send_chunk = (rank + n - s) % n;
-            let recv_chunk = (rank + n - s - 1) % n;
-            let out = data[ranges[send_chunk].clone()].to_vec();
-            self.send_elems(next, 0, step, PHASE_RING, &out)?;
-            let got = self.recv_elems(prev, 0, step, PHASE_RING)?;
-            reduce_add_into(&mut data[ranges[recv_chunk].clone()], &got);
-            step += 1;
+            let send_chunk = (rank + n - s - 1) % n;
+            let recv_chunk = (send_chunk + n - 1) % n;
+            let out = &data[ranges[send_chunk].clone()];
+            self.send_elems(next, 0, s as u32, PHASE_RING, out)?;
+            let got: Vec<E> = self.recv_elems(prev, 0, s as u32, PHASE_RING)?;
+            let seg = &mut data[ranges[recv_chunk].clone()];
+            if got.len() != seg.len() {
+                return Err(CommError::Protocol { peer: prev });
+            }
+            reduce_add_into(seg, &got);
         }
-        // Allgather: circulate the finished chunks.
+        data.truncate(ranges[rank].end);
+        data.drain(..ranges[rank].start);
+        Ok(data)
+    }
+
+    /// This rank's ring allgather: contributes `shard`, returns the
+    /// concatenation of every rank's shard in rank order. Shards may
+    /// differ in length (FSDP's trailing shards usually do) — frames are
+    /// self-sized, so no length exchange is needed.
+    pub fn allgather<E: Element>(&mut self, shard: &[E]) -> Result<Vec<E>, CommError> {
+        let n = self.world_size();
+        let rank = self.rank();
+        let (next, prev) = ((rank + 1) % n, self.ring_prev());
+        let mut pieces: Vec<Vec<E>> = vec![Vec::new(); n];
+        pieces[rank] = shard.to_vec();
+        // Step s forwards the piece that originated at rank − s.
         for s in 0..n - 1 {
-            let send_chunk = (rank + 1 + n - s) % n;
-            let recv_chunk = (rank + n - s) % n;
-            let out = data[ranges[send_chunk].clone()].to_vec();
-            self.send_elems(next, 0, step, PHASE_RING, &out)?;
-            let got = self.recv_elems(prev, 0, step, PHASE_RING)?;
-            data[ranges[recv_chunk].clone()].copy_from_slice(&got);
-            step += 1;
+            let src = (rank + n - s) % n;
+            self.send_elems(next, 1, s as u32, PHASE_RING, &pieces[src])?;
+            pieces[(src + n - 1) % n] = self.recv_elems(prev, 1, s as u32, PHASE_RING)?;
         }
-        Ok(())
+        Ok(pieces.concat())
     }
 
     /// This rank's side of a single-tree (tree A) reduce with no
@@ -678,6 +715,45 @@ mod tests {
         assert_eq!(decode_elems::<F8E4M3>(&encode_elems(&f8s)), Some(f8s));
         let f32s = vec![1.0f32, -2.5, 3.25e-8, f32::MAX];
         assert_eq!(decode_elems::<f32>(&encode_elems(&f32s)), Some(f32s));
+    }
+
+    #[test]
+    fn duplicate_undelivered_tag_is_a_protocol_error() {
+        // A raw fabric endpoint stands in for a misbehaving rank 1: the
+        // same tag twice while rank 0 is waiting for something else.
+        let mut world = InMemFabric::mesh(2);
+        let mut rogue = world.pop().expect("two");
+        let mut comm = Communicator::new(world.pop().expect("two"));
+        let tag = Tag {
+            phase: PHASE_UP,
+            tree: 0,
+            chunk: 7,
+        };
+        rogue.send(0, tag, &[0u8; 4]).expect("send");
+        rogue.send(0, tag, &[0u8; 4]).expect("send");
+        assert_eq!(
+            comm.recv_elems::<f32>(1, 0, 0, PHASE_UP),
+            Err(CommError::Protocol { peer: 1 })
+        );
+    }
+
+    #[test]
+    fn ring_frame_of_the_wrong_length_is_a_protocol_error() {
+        // Rank 0 expects rank 1's half of a 4-element buffer (2 elements)
+        // in the reduce-scatter; the rogue endpoint delivers 3.
+        let mut world = InMemFabric::mesh(2);
+        let mut rogue = world.pop().expect("two");
+        let mut comm = Communicator::new(world.pop().expect("two"));
+        let tag = Tag {
+            phase: PHASE_RING,
+            tree: 0,
+            chunk: 0,
+        };
+        rogue.send(0, tag, &[0u8; 12]).expect("send");
+        assert_eq!(
+            comm.reduce_scatter(vec![1.0f32; 4]),
+            Err(CommError::Protocol { peer: 1 })
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! ones: the chunked double-binary-tree allreduce of Algorithm 2, a ring
 //! allreduce baseline, and the full node-structured HFReduce
 //! (Algorithm 1 + 2: intra-node reduce → inter-node tree → broadcast back
-//! to every GPU buffer).
+//! to every GPU buffer). [`run_world`] is the one "spawn a rank per
+//! thread" helper; every driver here, the FSDP drivers in
+//! [`sharded`](crate::sharded) and the expert-parallel drivers in
+//! `ff-haiscale` are closures handed to it.
 //!
 //! The communication layer is `Result`-based: a peer that dies mid-step
 //! surfaces as a typed [`CommError`] (disconnect or receive timeout), not
@@ -17,14 +20,9 @@
 //! [`FaultyFabric`] transport middleware — and recovers by shrinking to
 //! the survivor set and retrying — the executable core of the paper's
 //! §VII failure-handling machinery.
-//!
-//! The old free-function entry points ([`allreduce_dbtree`],
-//! [`hfreduce_exec`], …) survive as thin deprecated shims over the
-//! drivers; new code calls the drivers directly or holds a
-//! [`Communicator`] itself.
 
 use crate::comm::{Algo, Communicator, Op};
-use crate::fabric::{FabricProvider, FaultyFabric, InMemProvider, DEFAULT_RECV_TIMEOUT};
+use crate::fabric::{FabricProvider, FaultyFabric, DEFAULT_RECV_TIMEOUT};
 use ff_dtypes::Element;
 use ff_obs::{Recorder, TrackBuf};
 use ff_topo::dbtree::DoubleBinaryTree;
@@ -72,12 +70,17 @@ impl ObsCtx {
     }
 }
 
-/// Spawn one thread per rank over a fresh fabric world, run `f` on each,
-/// and commit staged observability buffers (fault-free executions are
-/// Kahn-deterministic, so every rank commits).
-fn run_world<P, A, R>(
+/// Spawn one thread per rank over a fresh fabric world of `args.len()`
+/// ranks, run `f(rank, arg, comm)` on each, and return the per-rank
+/// results in rank order. With `obs`, every rank's staged observability buffer is
+/// committed afterwards (fault-free executions are Kahn-deterministic, so
+/// every rank commits). A rank that returns early drops its endpoint,
+/// which its peers observe as a hangup.
+///
+/// # Panics
+/// If the provider cannot build the world or a rank thread panics.
+pub fn run_world<P, A, R>(
     provider: &P,
-    timeout: Duration,
     obs: Option<&ObsCtx>,
     args: Vec<A>,
     f: impl Fn(usize, A, &mut Communicator<P::F>) -> R + Sync,
@@ -89,10 +92,7 @@ where
 {
     let n = args.len();
     let fabrics = provider.world(n).expect("fabric world construction");
-    let mut comms: Vec<Communicator<P::F>> = fabrics
-        .into_iter()
-        .map(|fb| Communicator::with_timeout(fb, timeout))
-        .collect();
+    let mut comms: Vec<Communicator<P::F>> = fabrics.into_iter().map(Communicator::new).collect();
     if let Some(o) = obs {
         for (r, c) in comms.iter_mut().enumerate() {
             c.set_obs(o.rank_buf(r));
@@ -150,26 +150,14 @@ pub fn run_allreduce<E: Element, P: FabricProvider>(
     assert!(n >= 1, "need at least one rank");
     let len = inputs[0].len();
     assert!(inputs.iter().all(|v| v.len() == len), "unequal buffers");
-    if matches!(algo, Algo::Ring) {
-        assert!(
-            len >= n || n == 1,
-            "ring needs at least one element per rank"
-        );
-    }
     if n == 1 {
         return inputs;
     }
-    run_world(
-        provider,
-        DEFAULT_RECV_TIMEOUT,
-        obs,
-        inputs,
-        |_, mut data, comm| {
-            comm.allreduce(&mut data, Op::Sum, algo)
-                .expect("fault-free allreduce must not fail");
-            data
-        },
-    )
+    run_world(provider, obs, inputs, |_, mut data, comm| {
+        comm.allreduce(&mut data, Op::Sum, algo)
+            .expect("fault-free allreduce must not fail");
+        data
+    })
 }
 
 /// Reduce `inputs` to the root of the double binary tree only (the
@@ -188,16 +176,10 @@ pub fn run_reduce_to_root<E: Element, P: FabricProvider>(
     if n == 1 {
         return (0, inputs.into_iter().next().expect("one rank"));
     }
-    let mut results = run_world(
-        provider,
-        DEFAULT_RECV_TIMEOUT,
-        None,
-        inputs,
-        |_, data, comm| {
-            comm.reduce_to_root(data, chunks)
-                .expect("fault-free reduce must not fail")
-        },
-    );
+    let mut results = run_world(provider, None, inputs, |_, data, comm| {
+        comm.reduce_to_root(data, chunks)
+            .expect("fault-free reduce must not fail")
+    });
     (root, results[root].take().expect("root holds the sum"))
 }
 
@@ -218,18 +200,12 @@ pub fn run_broadcast<E: Element, P: FabricProvider>(
     let seeds: Vec<Option<Vec<E>>> = (0..ranks)
         .map(|r| if r == root { Some(data.clone()) } else { None })
         .collect();
-    run_world(
-        provider,
-        DEFAULT_RECV_TIMEOUT,
-        None,
-        seeds,
-        |_, seed, comm| {
-            let mut buf = seed.unwrap_or_else(|| vec![E::ZERO; len]);
-            comm.broadcast(&mut buf, chunks)
-                .expect("fault-free broadcast must not fail");
-            buf
-        },
-    )
+    run_world(provider, None, seeds, |_, seed, comm| {
+        let mut buf = seed.unwrap_or_else(|| vec![E::ZERO; len]);
+        comm.broadcast(&mut buf, chunks)
+            .expect("fault-free broadcast must not fail");
+        buf
+    })
 }
 
 /// The full HFReduce data path, executed for real over `provider`'s
@@ -257,16 +233,10 @@ pub fn run_hfreduce<E: Element, P: FabricProvider>(
         assert!(!node.is_empty());
         assert!(node.iter().all(|b| b.len() == len), "unequal buffers");
     }
-    run_world(
-        provider,
-        DEFAULT_RECV_TIMEOUT,
-        obs,
-        inputs,
-        |_, gpu_bufs, comm| {
-            comm.hfreduce(gpu_bufs, chunks)
-                .expect("fault-free allreduce must not fail")
-        },
-    )
+    run_world(provider, obs, inputs, |_, gpu_bufs, comm| {
+        comm.hfreduce(gpu_bufs, chunks)
+            .expect("fault-free allreduce must not fail")
+    })
 }
 
 /// Injected faults for the executable allreduce: which ranks die, and how
@@ -497,92 +467,10 @@ pub fn allreduce_ft<E: Element, P: FabricProvider>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated free-function shims (one release of grace)
-// ---------------------------------------------------------------------------
-
-/// Allreduce `inputs` with the chunked double binary tree over the
-/// default in-memory fabric.
-#[deprecated(
-    note = "use `run_allreduce(.., Algo::DbTree { chunks }, &InMemProvider, None)` \
-                     or `Communicator::allreduce`"
-)]
-pub fn allreduce_dbtree<E: Element>(inputs: Vec<Vec<E>>, chunks: usize) -> Vec<Vec<E>> {
-    run_allreduce(inputs, Algo::DbTree { chunks }, &InMemProvider, None)
-}
-
-/// Traced [`allreduce_dbtree`].
-#[deprecated(note = "use `run_allreduce(.., Algo::DbTree { chunks }, &InMemProvider, Some(obs))`")]
-pub fn allreduce_dbtree_traced<E: Element>(
-    inputs: Vec<Vec<E>>,
-    chunks: usize,
-    obs: &ObsCtx,
-) -> Vec<Vec<E>> {
-    run_allreduce(inputs, Algo::DbTree { chunks }, &InMemProvider, Some(obs))
-}
-
-/// Fault-tolerant allreduce over the default in-memory fabric.
-#[deprecated(note = "use `allreduce_ft(.., &InMemProvider, None)`")]
-pub fn allreduce_dbtree_ft<E: Element>(
-    inputs: Vec<Vec<E>>,
-    chunks: usize,
-    plan: &ExecFaultPlan,
-) -> FtReport<E> {
-    allreduce_ft(inputs, chunks, plan, &InMemProvider, None)
-}
-
-/// Traced fault-tolerant allreduce over the default in-memory fabric.
-#[deprecated(note = "use `allreduce_ft(.., &InMemProvider, Some(obs))`")]
-pub fn allreduce_dbtree_ft_traced<E: Element>(
-    inputs: Vec<Vec<E>>,
-    chunks: usize,
-    plan: &ExecFaultPlan,
-    obs: &ObsCtx,
-) -> FtReport<E> {
-    allreduce_ft(inputs, chunks, plan, &InMemProvider, Some(obs))
-}
-
-/// Ring allreduce over the default in-memory fabric; the NCCL-style
-/// baseline.
-#[deprecated(note = "use `run_allreduce(.., Algo::Ring, &InMemProvider, None)` \
-                     or `Communicator::allreduce`")]
-pub fn allreduce_ring<E: Element>(inputs: Vec<Vec<E>>) -> Vec<Vec<E>> {
-    run_allreduce(inputs, Algo::Ring, &InMemProvider, None)
-}
-
-/// Reduce to the tree root over the default in-memory fabric.
-#[deprecated(note = "use `run_reduce_to_root(.., &InMemProvider)` \
-                     or `Communicator::reduce_to_root`")]
-pub fn reduce_to_root<E: Element>(inputs: Vec<Vec<E>>, chunks: usize) -> (usize, Vec<E>) {
-    run_reduce_to_root(inputs, chunks, &InMemProvider)
-}
-
-/// Broadcast from the tree root over the default in-memory fabric.
-#[deprecated(note = "use `run_broadcast(.., &InMemProvider)` or `Communicator::broadcast`")]
-pub fn broadcast<E: Element>(data: Vec<E>, ranks: usize, chunks: usize) -> Vec<Vec<E>> {
-    run_broadcast(data, ranks, chunks, &InMemProvider)
-}
-
-/// HFReduce over the default in-memory fabric.
-#[deprecated(note = "use `run_hfreduce(.., &InMemProvider, None)` or `Communicator::hfreduce`")]
-pub fn hfreduce_exec<E: Element>(inputs: Vec<Vec<Vec<E>>>, chunks: usize) -> Vec<Vec<Vec<E>>> {
-    run_hfreduce(inputs, chunks, &InMemProvider, None)
-}
-
-/// Traced HFReduce over the default in-memory fabric.
-#[deprecated(note = "use `run_hfreduce(.., &InMemProvider, Some(obs))`")]
-pub fn hfreduce_exec_traced<E: Element>(
-    inputs: Vec<Vec<Vec<E>>>,
-    chunks: usize,
-    obs: &ObsCtx,
-) -> Vec<Vec<Vec<E>>> {
-    run_hfreduce(inputs, chunks, &InMemProvider, Some(obs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::TcpProvider;
+    use crate::fabric::{InMemProvider, TcpProvider};
     use crate::kernels::reference_sum;
     use ff_dtypes::{Bf16, F16};
 
@@ -612,6 +500,23 @@ mod tests {
     }
 
     #[test]
+    fn run_world_turns_an_early_return_into_a_hangup() {
+        // Rank 1 returns without communicating; its endpoint drops and
+        // rank 0, waiting on it, gets the typed error — not a timeout.
+        fn run<P: FabricProvider>(p: &P) -> Vec<Result<(), CommError>> {
+            run_world(p, None, vec![(); 2], |rank, (), comm| {
+                if rank == 1 {
+                    return Ok(());
+                }
+                comm.recv_elems::<f32>(1, 0, 0, 0).map(|_| ())
+            })
+        }
+        let want = vec![Err(CommError::Disconnected { peer: 1 }), Ok(())];
+        assert_eq!(run(&InMemProvider), want);
+        assert_eq!(run(&TcpProvider), want);
+    }
+
+    #[test]
     fn dbtree_over_tcp_matches_reference() {
         let inputs = int_inputs(4, 129);
         let want = reference_sum(&inputs);
@@ -623,12 +528,15 @@ mod tests {
 
     #[test]
     fn ring_matches_reference() {
+        // Short buffers leave some (or all) ranks' chunks empty.
         for n in [2usize, 3, 4, 8] {
-            let inputs = int_inputs(n, 240);
-            let want = reference_sum(&inputs);
-            let out = run_allreduce(inputs, Algo::Ring, &InMemProvider, None);
-            for buf in &out {
-                assert_eq!(buf, &want, "n={n}");
+            for len in [0usize, 1, n - 1, 240] {
+                let inputs = int_inputs(n, len);
+                let want = reference_sum(&inputs);
+                let out = run_allreduce(inputs, Algo::Ring, &InMemProvider, None);
+                for buf in &out {
+                    assert_eq!(buf, &want, "n={n}, len={len}");
+                }
             }
         }
     }

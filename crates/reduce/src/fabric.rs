@@ -283,6 +283,12 @@ impl Drop for InMemFabric {
 /// Wire frame header: phase, tree, chunk, payload length.
 const TCP_HEADER_LEN: usize = 1 + 1 + 4 + 4;
 
+/// Largest payload one TCP frame may carry. The length field is four
+/// bytes a peer controls, so the reader refuses anything above this
+/// before allocating for it; 1 GiB is far beyond any in-tree message
+/// (collectives chunk long buffers) yet bounds what a bad header costs.
+const MAX_FRAME_BYTES: usize = 1 << 30;
+
 fn encode_header(tag: Tag, len: usize) -> [u8; TCP_HEADER_LEN] {
     let mut h = [0u8; TCP_HEADER_LEN];
     h[0] = tag.phase;
@@ -350,7 +356,7 @@ impl TcpFabric {
 }
 
 /// Demux thread: read frames from one peer's stream into the inbox until
-/// EOF or error, then deliver the hangup frame.
+/// EOF, error or an oversized frame, then deliver the hangup frame.
 fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>) {
     std::thread::spawn(move || {
         loop {
@@ -364,6 +370,12 @@ fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>) {
                 chunk: u32::from_le_bytes(header[2..6].try_into().expect("4 bytes")),
             };
             let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes")) as usize;
+            if len > MAX_FRAME_BYTES {
+                // Nothing after a bad header can be framed: close the
+                // stream so the peer's writes fail too.
+                let _ = stream.shutdown(Shutdown::Both);
+                break;
+            }
             let mut bytes = vec![0u8; len];
             if stream.read_exact(&mut bytes).is_err() {
                 break;
@@ -400,6 +412,11 @@ impl Fabric for TcpFabric {
         let stream = self.writers[to]
             .as_mut()
             .ok_or(CommError::Disconnected { peer: to })?;
+        assert!(
+            bytes.len() <= MAX_FRAME_BYTES,
+            "frame of {} bytes exceeds MAX_FRAME_BYTES; chunk the collective",
+            bytes.len()
+        );
         let header = encode_header(tag, bytes.len());
         if stream.write_all(&header).is_err() || stream.write_all(bytes).is_err() {
             self.writers[to] = None;
@@ -720,6 +737,36 @@ mod tests {
             assert_eq!(m.tag.chunk, chunk, "per-pair FIFO order");
             assert_eq!(m.bytes, chunk.to_le_bytes());
         }
+    }
+
+    #[test]
+    fn oversized_tcp_header_is_a_hangup_not_an_allocation() {
+        // A raw socket stands in for a misbehaving rank 1: it declares a
+        // 4 GiB payload and then keeps the connection open. Rank 0's
+        // reader must give up on the header alone — waiting for (or
+        // allocating) the payload would never deliver the hangup.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut raw = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let (tx, rx) = unbounded();
+        spawn_reader(accepted.try_clone().expect("clone"), 1, tx);
+        let fab = TcpFabric {
+            rank: 0,
+            world: 2,
+            writers: vec![None, Some(accepted)],
+            rx,
+        };
+        let mut header = [0u8; TCP_HEADER_LEN]; // phase 0 = PHASE_UP, tree 0, chunk 0
+        header[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        raw.write_all(&header).expect("write header");
+        let mut comm = crate::comm::Communicator::with_timeout(fab, Duration::from_secs(5));
+        assert_eq!(
+            comm.recv_elems::<f32>(1, 0, 0, PHASE_UP),
+            Err(CommError::Disconnected { peer: 1 })
+        );
+        // And the teardown reached the peer: its stream is closed.
+        let mut byte = [0u8; 1];
+        assert_eq!(raw.read(&mut byte).expect("EOF, not an error"), 0);
     }
 
     #[test]

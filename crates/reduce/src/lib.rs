@@ -12,9 +12,11 @@
 //!
 //! * **Executable algorithms** — real multithreaded implementations over
 //!   a pluggable transport: the reduction kernels ([`kernels`]), the
-//!   chunked double-binary-tree allreduce, a ring allreduce baseline, and
-//!   the full node-structured HFReduce (intra-node reduce → inter-node
-//!   tree → broadcast). The transport is a [`fabric::Fabric`] — in-memory
+//!   chunked double-binary-tree allreduce, ring reduce-scatter and
+//!   allgather (whose composition is the ring allreduce baseline and whose
+//!   alternation is the FSDP step, [`sharded`]), and the full
+//!   node-structured HFReduce (intra-node reduce → inter-node tree →
+//!   broadcast). The transport is a [`fabric::Fabric`] — in-memory
 //!   channels by default, real localhost TCP sockets, or metering /
 //!   fault-injecting middleware — and every collective is a method on one
 //!   [`comm::Communicator`] handle, orchestrated world-wide by the
@@ -44,14 +46,9 @@ pub mod sharded;
 pub use calibration::{calibrate, Calibration};
 pub use cluster::{ClusterConfig, ClusterModel};
 pub use comm::{Algo, Communicator, Op, Wire, WireCursor};
-#[allow(deprecated)]
 pub use exec::{
-    allreduce_dbtree, allreduce_dbtree_ft, allreduce_dbtree_ft_traced, allreduce_dbtree_traced,
-    allreduce_ring, hfreduce_exec, hfreduce_exec_traced,
-};
-pub use exec::{
-    allreduce_ft, run_allreduce, run_broadcast, run_hfreduce, run_reduce_to_root, CommError,
-    ExecFaultPlan, FtReport, ObsCtx,
+    allreduce_ft, run_allreduce, run_broadcast, run_hfreduce, run_reduce_to_root, run_world,
+    CommError, ExecFaultPlan, FtReport, ObsCtx,
 };
 pub use fabric::{
     CalibratedFabric, Fabric, FabricProvider, FaultyFabric, InMemFabric, InMemProvider, RawMsg,
@@ -59,4 +56,4 @@ pub use fabric::{
 };
 pub use ff_util::error::{FfError, FfKind};
 pub use model::{AllreduceReport, HfReduceOptions, HfReduceVariant};
-pub use sharded::{allgather, fsdp_step_exec, reduce_scatter};
+pub use sharded::{fsdp_step, run_allgather, run_fsdp_step, run_reduce_scatter};

@@ -1,231 +1,182 @@
-//! Executable allgather and reduce-scatter — the collectives FSDP/ZeRO-3
-//! is built from (§II-B1: "FSDP performs an allgather operation to
-//! assemble the complete parameters ... then performs a reduce-scatter
-//! operation to synchronize gradients").
+//! World-level drivers for allgather and reduce-scatter — the two
+//! collectives FSDP/ZeRO-3 is built from (§II-B1: "FSDP performs an
+//! allgather operation to assemble the complete parameters ... then
+//! performs a reduce-scatter operation to synchronize gradients") — and
+//! for the FSDP step itself.
 //!
-//! Ring implementations over threads, plus [`fsdp_step_exec`]: a real
-//! sharded-parameter training step (allgather params → local grads →
-//! reduce-scatter → each rank updates its 1/n shard) proving the §II-B1
-//! protocol end to end.
+//! The ring code lives once, on [`Communicator::reduce_scatter`] and
+//! [`Communicator::allgather`] (`Algo::Ring` is their composition); the
+//! drivers here are closures over [`run_world`], so they run over any
+//! [`FabricProvider`] — in-memory channels or real localhost TCP — with
+//! the same typed [`CommError`] surface as every other collective.
+//! [`fsdp_step`] is one rank's side of a real sharded-parameter training
+//! step (allgather params → local grads → reduce-scatter → update the
+//! rank's 1/n shard), proving the §II-B1 protocol end to end.
 
-use crate::kernels::{chunk_ranges, reduce_add_into};
+use crate::comm::Communicator;
+use crate::exec::run_world;
+use crate::fabric::{CommError, Fabric, FabricProvider};
 use ff_dtypes::Element;
-use ff_util::channel::{unbounded, Receiver, Sender};
 
-struct Ring<E> {
-    me: usize,
-    tx_next: Sender<Vec<E>>,
-    rx_prev: Receiver<Vec<E>>,
-}
-
-fn ring_mesh<E: Send>(n: usize) -> Vec<Ring<E>> {
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-    let mut rxs: Vec<Option<Receiver<Vec<E>>>> = rxs.into_iter().map(Some).collect();
-    (0..n)
-        .map(|me| Ring {
-            me,
-            // rank r sends into channel (r+1) % n and receives from its own.
-            tx_next: txs[(me + 1) % n].clone(),
-            rx_prev: rxs[me].take().expect("one receiver per rank"),
-        })
-        .collect()
-}
-
-/// Ring allgather: rank `r` contributes `shards[r]`; everyone ends with
-/// the concatenation `shards[0] ++ shards[1] ++ …` (shards may differ in
-/// length, as FSDP's last shard usually does).
-pub fn allgather<E: Element>(shards: Vec<Vec<E>>) -> Vec<Vec<E>> {
-    let n = shards.len();
-    assert!(n >= 1);
-    if n == 1 {
-        return shards;
-    }
-    let lens: Vec<usize> = shards.iter().map(|s| s.len()).collect();
-    let rings = ring_mesh::<E>(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .zip(rings)
-            .map(|(own, ring)| {
-                let lens = &lens;
-                s.spawn(move || {
-                    let me = ring.me;
-                    let mut pieces: Vec<Option<Vec<E>>> = (0..n).map(|_| None).collect();
-                    pieces[me] = Some(own.clone());
-                    // Step s: forward the piece originating at (me - s).
-                    for step in 0..n - 1 {
-                        let src = (me + n - step) % n;
-                        let piece = pieces[src].clone().expect("piece present");
-                        ring.tx_next.send(piece).expect("peer alive");
-                        let incoming_src = (me + n - step - 1) % n;
-                        let got = ring.rx_prev.recv().expect("peer alive");
-                        assert_eq!(got.len(), lens[incoming_src], "shard length drift");
-                        pieces[incoming_src] = Some(got);
-                    }
-                    pieces
-                        .into_iter()
-                        .flat_map(|p| p.expect("all pieces arrived"))
-                        .collect::<Vec<E>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
+/// Ring allgather over `provider`'s fabric: rank `r` contributes
+/// `shards[r]`; everyone ends with the concatenation
+/// `shards[0] ++ shards[1] ++ …` (shards may differ in length, as FSDP's
+/// trailing shards usually do).
+pub fn run_allgather<E: Element, P: FabricProvider>(
+    shards: Vec<Vec<E>>,
+    provider: &P,
+) -> Vec<Vec<E>> {
+    run_world(provider, None, shards, |_, shard, comm| {
+        comm.allgather(&shard)
+            .expect("fault-free allgather must not fail")
     })
 }
 
-/// Ring reduce-scatter: every rank contributes a full-length buffer; rank
-/// `r` ends with the *sum* of everyone's `r`-th chunk (chunks from
-/// [`chunk_ranges`]). Returns each rank's reduced shard.
-pub fn reduce_scatter<E: Element>(inputs: Vec<Vec<E>>) -> Vec<Vec<E>> {
-    let n = inputs.len();
-    assert!(n >= 1);
-    let len = inputs[0].len();
+/// Ring reduce-scatter over `provider`'s fabric: every rank contributes a
+/// full-length buffer; rank `r` ends with the *sum* of everyone's `r`-th
+/// chunk (chunks from [`chunk_ranges`](crate::kernels::chunk_ranges)).
+/// Returns each rank's reduced shard.
+pub fn run_reduce_scatter<E: Element, P: FabricProvider>(
+    inputs: Vec<Vec<E>>,
+    provider: &P,
+) -> Vec<Vec<E>> {
+    let len = inputs.first().map_or(0, |v| v.len());
     assert!(inputs.iter().all(|v| v.len() == len), "unequal buffers");
-    if n == 1 {
-        return inputs;
-    }
-    let ranges = chunk_ranges(len, n);
-    let rings = ring_mesh::<E>(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = inputs
-            .iter()
-            .zip(rings)
-            .map(|(data, ring)| {
-                let ranges = &ranges;
-                s.spawn(move || {
-                    let me = ring.me;
-                    let mut data = data.clone();
-                    // Step s: send chunk (me − s − 1), receive chunk
-                    // (me − s − 2) and fold our contribution in; the
-                    // schedule is arranged so rank r finishes owning the
-                    // fully-reduced chunk r (FSDP's shard layout).
-                    for step in 0..n - 1 {
-                        let send_chunk = (me + n - step - 1) % n;
-                        ring.tx_next
-                            .send(data[ranges[send_chunk].clone()].to_vec())
-                            .expect("peer alive");
-                        let recv_chunk = (me + 2 * n - step - 2) % n;
-                        let got = ring.rx_prev.recv().expect("peer alive");
-                        let seg = &mut data[ranges[recv_chunk].clone()];
-                        // got already accumulates upstream contributions;
-                        // fold ours in.
-                        let mut acc = got;
-                        reduce_add_into(&mut acc, seg);
-                        seg.copy_from_slice(&acc);
-                    }
-                    // After n-1 steps, our own chunk holds the full sum.
-                    data[ranges[me].clone()].to_vec()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
+    run_world(provider, None, inputs, |_, data, comm| {
+        comm.reduce_scatter(data)
+            .expect("fault-free reduce-scatter must not fail")
     })
 }
 
-/// One real FSDP/ZeRO-3 training step over `n` ranks (§II-B1), with the
-/// parameters sharded `1/n` per rank:
+/// One rank's side of a real FSDP/ZeRO-3 training step (§II-B1), with the
+/// parameters sharded `1/n` per rank along
+/// [`chunk_ranges`](crate::kernels::chunk_ranges):
 ///
-/// 1. allgather the shards into full parameters on every rank;
-/// 2. each rank computes its local gradient via `grad_fn(rank, &params)`;
-/// 3. reduce-scatter the gradients so each rank holds the summed gradient
-///    for *its* shard;
-/// 4. each rank applies `lr` to its shard only.
+/// 1. allgather the shards into full parameters;
+/// 2. compute the local gradient via `grad_fn(rank, &params)`;
+/// 3. reduce-scatter the gradients so this rank holds the summed gradient
+///    for *its* shard (the reduce-scatter's chunk boundaries are the
+///    shard boundaries);
+/// 4. apply `lr` to `shard` only.
 ///
-/// Returns the updated shards. Note chunk boundaries of the reduce-scatter
-/// must match the shard boundaries — both use [`chunk_ranges`].
-pub fn fsdp_step_exec<F>(mut shards: Vec<Vec<f32>>, grad_fn: F, lr: f32) -> Vec<Vec<f32>>
+/// # Panics
+/// If `grad_fn` returns a gradient of the wrong length, or the world's
+/// shards do not follow `chunk_ranges(total_len, world)`.
+pub fn fsdp_step<F: Fabric>(
+    comm: &mut Communicator<F>,
+    shard: &mut [f32],
+    grad_fn: impl Fn(usize, &[f32]) -> Vec<f32>,
+    lr: f32,
+) -> Result<(), CommError> {
+    let params = comm.allgather(shard)?;
+    let grads = grad_fn(comm.rank(), &params);
+    assert_eq!(grads.len(), params.len(), "gradient length mismatch");
+    let grad_shard = comm.reduce_scatter(grads)?;
+    assert_eq!(
+        grad_shard.len(),
+        shard.len(),
+        "shards must follow chunk_ranges"
+    );
+    for (w, g) in shard.iter_mut().zip(&grad_shard) {
+        *w -= lr * g;
+    }
+    Ok(())
+}
+
+/// One FSDP step over `provider`'s fabric: a single world whose rank `r`
+/// runs [`fsdp_step`] on `shards[r]`. Returns the updated shards.
+///
+/// ```
+/// use ff_reduce::{run_fsdp_step, TcpProvider};
+/// // Two ranks, 3 parameters sharded 2 + 1; every rank's gradient is 1.
+/// let shards = vec![vec![1.0f32, 2.0], vec![3.0]];
+/// let out = run_fsdp_step(shards, |_, p| vec![1.0; p.len()], 0.5, &TcpProvider);
+/// assert_eq!(out, vec![vec![0.0, 1.0], vec![2.0]]);
+/// ```
+pub fn run_fsdp_step<G, P>(
+    shards: Vec<Vec<f32>>,
+    grad_fn: G,
+    lr: f32,
+    provider: &P,
+) -> Vec<Vec<f32>>
 where
-    F: Fn(usize, &[f32]) -> Vec<f32> + Sync,
+    G: Fn(usize, &[f32]) -> Vec<f32> + Sync,
+    P: FabricProvider,
 {
-    let n = shards.len();
-    let full_len: usize = shards.iter().map(|s| s.len()).sum();
-    let ranges = chunk_ranges(full_len, n);
-    for (s, r) in shards.iter().zip(&ranges) {
-        assert_eq!(s.len(), r.len(), "shards must follow chunk_ranges");
-    }
-    // 1. Allgather parameters.
-    let full_params = allgather(shards.clone());
-    // 2. Local gradients (parallel).
-    let grads: Vec<Vec<f32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = full_params
-            .iter()
-            .enumerate()
-            .map(|(rank, p)| {
-                let grad_fn = &grad_fn;
-                s.spawn(move || {
-                    let g = grad_fn(rank, p);
-                    assert_eq!(g.len(), p.len(), "gradient length mismatch");
-                    g
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    });
-    // 3. Reduce-scatter gradients.
-    let grad_shards = reduce_scatter(grads);
-    // 4. Sharded update.
-    for (rank, (shard, gshard)) in shards.iter_mut().zip(&grad_shards).enumerate() {
-        assert_eq!(shard.len(), gshard.len(), "rank {rank} shard mismatch");
-        for (w, g) in shard.iter_mut().zip(gshard) {
-            *w -= lr * g;
-        }
-    }
-    shards
+    run_world(provider, None, shards, |_, mut shard, comm| {
+        fsdp_step(comm, &mut shard, &grad_fn, lr).expect("fault-free FSDP step must not fail");
+        shard
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::reference_sum;
+    use crate::fabric::{InMemProvider, TcpProvider};
+    use crate::kernels::{chunk_ranges, reference_sum};
+
+    fn int_inputs(n: usize, len: usize) -> Vec<Vec<f32>> {
+        (0..n)
+            .map(|r| (0..len).map(|i| ((r * 11 + i) % 7) as f32).collect())
+            .collect()
+    }
+
+    /// Shards of `0.0, 1.0, …` laid out along `chunk_ranges(len, n)`.
+    fn iota_shards(len: usize, n: usize) -> Vec<Vec<f32>> {
+        chunk_ranges(len, n)
+            .into_iter()
+            .map(|r| r.map(|i| i as f32).collect())
+            .collect()
+    }
+
+    /// A rank-dependent integer-valued gradient, so every sum is exact.
+    fn int_grad(rank: usize, params: &[f32]) -> Vec<f32> {
+        params
+            .iter()
+            .enumerate()
+            .map(|(i, w)| w + ((rank + i) % 3) as f32)
+            .collect()
+    }
 
     #[test]
     fn allgather_concatenates() {
         let shards: Vec<Vec<f32>> = vec![vec![1.0, 2.0], vec![3.0], vec![4.0, 5.0, 6.0]];
-        let out = allgather(shards);
-        for buf in &out {
-            assert_eq!(buf, &vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        for buf in run_allgather(shards, &InMemProvider) {
+            assert_eq!(buf, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         }
     }
 
     #[test]
     fn allgather_single_rank() {
-        assert_eq!(allgather(vec![vec![7.0f32]]), vec![vec![7.0]]);
+        assert_eq!(
+            run_allgather(vec![vec![7.0f32]], &InMemProvider),
+            vec![vec![7.0]]
+        );
     }
 
     #[test]
     fn reduce_scatter_matches_reference_chunks() {
+        // Includes the short buffers the ring used to reject: len 0, 1
+        // and world − 1 leave some (or all) ranks with an empty chunk.
         let n = 4usize;
-        let len = 37usize;
-        let inputs: Vec<Vec<f32>> = (0..n)
-            .map(|r| (0..len).map(|i| ((r * 11 + i) % 7) as f32).collect())
-            .collect();
-        let full = reference_sum(&inputs);
-        let ranges = chunk_ranges(len, n);
-        let out = reduce_scatter(inputs);
-        for (r, shard) in out.iter().enumerate() {
-            assert_eq!(shard.as_slice(), &full[ranges[r].clone()], "rank {r}");
+        for len in [0usize, 1, n - 1, 37] {
+            let inputs = int_inputs(n, len);
+            let full = reference_sum(&inputs);
+            let ranges = chunk_ranges(len, n);
+            let out = run_reduce_scatter(inputs, &InMemProvider);
+            for (r, shard) in out.iter().enumerate() {
+                assert_eq!(shard.as_slice(), &full[ranges[r].clone()], "rank {r}");
+            }
         }
     }
 
     #[test]
     fn reduce_scatter_then_allgather_is_allreduce() {
-        let n = 5usize;
-        let inputs: Vec<Vec<f32>> = (0..n)
-            .map(|r| (0..50).map(|i| ((r + i) % 9) as f32).collect())
-            .collect();
+        let inputs = int_inputs(5, 50);
         let want = reference_sum(&inputs);
-        let gathered = allgather(reduce_scatter(inputs));
-        for buf in &gathered {
-            assert_eq!(buf, &want);
+        let shards = run_reduce_scatter(inputs, &InMemProvider);
+        for buf in run_allgather(shards, &InMemProvider) {
+            assert_eq!(buf, want);
         }
     }
 
@@ -236,14 +187,16 @@ mod tests {
         let n = 4usize;
         let dim = 10usize;
         let target: Vec<f32> = (0..dim).map(|i| i as f32 / 2.0).collect();
-        let ranges = chunk_ranges(dim, n);
-        let mut shards: Vec<Vec<f32>> = ranges.iter().map(|r| vec![0.0; r.len()]).collect();
+        let mut shards: Vec<Vec<f32>> = chunk_ranges(dim, n)
+            .iter()
+            .map(|r| vec![0.0; r.len()])
+            .collect();
         for _ in 0..100 {
-            let t = target.clone();
-            shards = fsdp_step_exec(
+            shards = run_fsdp_step(
                 shards,
-                move |_rank, params| params.iter().zip(&t).map(|(w, t)| w - t).collect(),
+                |_rank, params| params.iter().zip(&target).map(|(w, t)| w - t).collect(),
                 0.1 / n as f32,
+                &InMemProvider,
             );
         }
         let learned: Vec<f32> = shards.into_iter().flatten().collect();
@@ -255,13 +208,42 @@ mod tests {
     #[test]
     fn uneven_shards_follow_chunk_ranges() {
         // 7 elements over 3 ranks: shards of 3, 2, 2.
-        let ranges = chunk_ranges(7, 3);
-        let shards: Vec<Vec<f32>> = ranges
-            .iter()
-            .map(|r| r.clone().map(|i| i as f32).collect())
-            .collect();
+        let shards = iota_shards(7, 3);
         assert_eq!(shards[0].len(), 3);
-        let out = allgather(shards);
+        let out = run_allgather(shards, &InMemProvider);
         assert_eq!(out[2], (0..7).map(|i| i as f32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fsdp_step_over_tcp_is_bit_identical_to_inmem() {
+        let shards = iota_shards(23, 4);
+        let mem = run_fsdp_step(shards.clone(), int_grad, 0.25, &InMemProvider);
+        let tcp = run_fsdp_step(shards, int_grad, 0.25, &TcpProvider);
+        let bits = |v: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            v.iter()
+                .map(|s| s.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&mem), bits(&tcp));
+    }
+
+    #[test]
+    fn two_fsdp_steps_share_one_world() {
+        // Both steps reuse the same ring tags on one communicator; the
+        // allgather/reduce-scatter alternation keeps every undelivered
+        // frame's tag unique, so the second step neither trips the
+        // duplicate check nor picks up a stale frame — it matches two
+        // fresh worlds exactly.
+        let shards = iota_shards(19, 5);
+        let want = (0..2).fold(shards.clone(), |s, _| {
+            run_fsdp_step(s, int_grad, 0.5, &InMemProvider)
+        });
+        let got = run_world(&InMemProvider, None, shards, |_, mut shard, comm| {
+            for _ in 0..2 {
+                fsdp_step(comm, &mut shard, int_grad, 0.5).expect("fault-free step");
+            }
+            shard
+        });
+        assert_eq!(got, want);
     }
 }

@@ -2,9 +2,11 @@
 //! serial reference reduction for arbitrary shapes and dtypes (seeded,
 //! reproducible).
 
-use ff_dtypes::{Bf16, F16};
+use ff_dtypes::{Bf16, Element, F16};
 use ff_reduce::kernels::reference_sum;
-use ff_reduce::{run_allreduce, run_hfreduce, Algo, InMemProvider};
+use ff_reduce::{
+    run_allgather, run_allreduce, run_hfreduce, run_reduce_scatter, Algo, InMemProvider,
+};
 use ff_util::rng::ChaCha8Rng;
 
 const CASES: usize = 32;
@@ -32,20 +34,37 @@ fn dbtree_equals_reference() {
     }
 }
 
+/// The ring exists once: reduce-scatter then allgather *is* the ring
+/// allreduce, and both equal the serial reference — for every world size,
+/// for lengths that do not divide evenly (including `len < world`, where
+/// some ranks own an empty shard), in f32 and bf16.
 #[test]
-fn ring_equals_reference() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xA802);
-    let mut done = 0;
-    while done < CASES {
-        let inputs = f32_inputs(&mut rng);
-        if inputs[0].len() < inputs.len() {
-            continue;
-        }
-        done += 1;
+fn ring_is_reduce_scatter_then_allgather() {
+    fn check<E: Element>(ints: &[Vec<i32>]) {
+        let inputs: Vec<Vec<E>> = ints
+            .iter()
+            .map(|v| v.iter().map(|&x| E::from_f32(x as f32)).collect())
+            .collect();
         let want = reference_sum(&inputs);
-        let out = run_allreduce(inputs, Algo::Ring, &InMemProvider, None);
-        for buf in &out {
+        let shards = run_reduce_scatter(inputs.clone(), &InMemProvider);
+        let composed = run_allgather(shards, &InMemProvider);
+        let ring = run_allreduce(inputs, Algo::Ring, &InMemProvider, None);
+        assert_eq!(composed, ring);
+        for buf in &ring {
             assert_eq!(buf, &want);
+        }
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA802);
+    for world in 1usize..=8 {
+        for _ in 0..4 {
+            let len = rng.gen_range(0usize..61);
+            // Integer entries in ±7: every partial sum over 8 ranks stays
+            // within bf16's exact-integer range (|x| ≤ 256).
+            let ints: Vec<Vec<i32>> = (0..world)
+                .map(|_| (0..len).map(|_| rng.gen_range(-7i32..8)).collect())
+                .collect();
+            check::<f32>(&ints);
+            check::<Bf16>(&ints);
         }
     }
 }

@@ -183,6 +183,22 @@ fn collective_trace_is_transport_invariant() {
     assert_eq!(dig_tcp, FABRIC_GOLDEN_DIGEST);
 }
 
+/// Transport invariance extends to `PHASE_RING`: the reduce-scatter +
+/// allgather schedule (uneven chunks included) traces identically over
+/// channels and sockets.
+#[test]
+fn ring_trace_is_transport_invariant() {
+    fn ring_trace<P: FabricProvider>(provider: &P) -> (String, String) {
+        let rec = Recorder::new();
+        let obs = ObsCtx::new(&rec, "ring", 0);
+        run_allreduce(seeded_inputs(7, 5, 103), Algo::Ring, provider, Some(&obs));
+        (rec.canonical(), rec.digest())
+    }
+    let mem = ring_trace(&InMemProvider);
+    assert!(mem.0.contains("send:g:t0:c0->r1") && mem.0.contains("recv:g:t1:c3<-r4"));
+    assert_eq!(mem, ring_trace(&TcpProvider));
+}
+
 #[test]
 fn recovery_run_same_seed_same_digest() {
     let (canon_a, dig_a) = recovery_trace(42);
