@@ -98,6 +98,7 @@ fn echo_loop<F: Fabric>(fab: &mut F) {
                 if fab.send(m.from, m.tag, &m.bytes).is_err() {
                     return;
                 }
+                fab.recycle(m.bytes);
             }
             Err(_) => return,
         }
@@ -115,6 +116,7 @@ fn pingpong<F: Fabric>(fab: &mut F, payload: &[u8], count: usize, base: u32) -> 
             .recv_any(ECHO_TIMEOUT)
             .expect("calibration echo within timeout");
         assert_eq!(echo.tag, tag, "echo out of order");
+        fab.recycle(echo.bytes);
     }
     t0.elapsed()
 }

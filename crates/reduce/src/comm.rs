@@ -12,20 +12,25 @@
 //! a `Communicator`, and commit the staged observability buffers only for
 //! clean executions.
 //!
-//! Elements travel the wire as little-endian `f32` (4 bytes each): every
-//! dtype in `ff_dtypes` widens to `f32` exactly and rounds back to itself,
-//! so the encoding is lossless while keeping one frame format across all
-//! precisions. Arbitrary payloads (the MoE all2all routes structured
-//! tokens) implement [`Wire`] instead.
+//! Elements travel the wire at their own width — the little-endian bit
+//! pattern, 4/2/2/1 bytes for `f32`/`F16`/`Bf16`/`F8E4M3`
+//! ([`Element::write_le`]) — which is the identity on bits and makes a
+//! frame's length the element count times a constant. The data path
+//! allocates nothing per message: a send encodes into one buffer the
+//! communicator keeps, a received frame is folded or copied straight
+//! into the caller's slice, a frame travelling down a tree is passed on
+//! as the bytes it arrived in, and every consumed frame goes back to the
+//! fabric ([`Fabric::recycle`]). Arbitrary payloads (the MoE all2all
+//! routes structured tokens) implement [`Wire`] instead.
 
 use crate::fabric::{
     CommError, Fabric, RecvAnyError, Tag, DEFAULT_RECV_TIMEOUT, PHASE_A2A, PHASE_DOWN, PHASE_RING,
     PHASE_UP,
 };
-use crate::kernels::{chunk_ranges, reduce_add_into, reduce_n_into};
+use crate::kernels::{chunk_ranges, reduce_n_in_place};
 use ff_dtypes::Element;
 use ff_obs::TrackBuf;
-use ff_topo::dbtree::DoubleBinaryTree;
+use ff_topo::dbtree::{DoubleBinaryTree, Tree};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -88,7 +93,7 @@ impl<'a> WireCursor<'a> {
 /// Self-describing byte serialization for all2all payloads — the typed
 /// messages (routed MoE tokens, index pairs) that must cross a byte
 /// transport. Collective element buffers do *not* go through `Wire`; they
-/// use the fixed `f32` frame format directly.
+/// travel as native-width [`Element`] bytes.
 pub trait Wire: Sized {
     /// Append this value's encoding to `out`.
     fn wire_write(&self, out: &mut Vec<u8>);
@@ -187,28 +192,56 @@ impl Wire for String {
 // Elements on the wire
 // ---------------------------------------------------------------------------
 
-/// Bytes per element on the wire: everything travels as little-endian
-/// `f32`, which every `ff_dtypes` element widens to exactly.
-const ELEM_WIRE_BYTES: usize = 4;
-
-fn encode_elems<E: Element>(data: &[E]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * ELEM_WIRE_BYTES);
-    for x in data {
-        out.extend_from_slice(&x.to_f32().to_le_bytes());
+/// Encode `data` at native width ([`Element::write_le`] per element) into
+/// the front of `wire` and return the encoding's length. `wire` only ever
+/// grows, so a segment no longer than one sent before touches no allocator
+/// and zeroes nothing.
+fn encode_into<E: Element>(wire: &mut Vec<u8>, data: &[E]) -> usize {
+    let need = data.len() * E::WIRE_BYTES;
+    if wire.len() < need {
+        wire.resize(need, 0);
     }
-    out
+    for (x, b) in data
+        .iter()
+        .zip(wire[..need].chunks_exact_mut(E::WIRE_BYTES))
+    {
+        x.write_le(b);
+    }
+    need
 }
 
-fn decode_elems<E: Element>(bytes: &[u8]) -> Option<Vec<E>> {
-    if !bytes.len().is_multiple_of(ELEM_WIRE_BYTES) {
-        return None;
+/// What a received frame does to the slice it lands in.
+#[derive(Clone, Copy)]
+enum Land {
+    /// `dst[i] += frame[i]`, accumulated in `f32` as
+    /// [`reduce_add_into`](crate::kernels::reduce_add_into) does.
+    Fold,
+    /// `dst[i] = frame[i]`.
+    Copy,
+}
+
+/// Decode `frame` straight into `dst`. `false` — and `dst` untouched —
+/// unless the frame holds exactly `dst.len()` elements: the length check
+/// every collective needs of bytes a peer chose is the decode's own.
+#[must_use]
+fn land_frame<E: Element>(dst: &mut [E], frame: &[u8], how: Land) -> bool {
+    if dst.len().checked_mul(E::WIRE_BYTES) != Some(frame.len()) {
+        return false;
     }
-    Some(
-        bytes
-            .chunks_exact(ELEM_WIRE_BYTES)
-            .map(|c| E::from_f32(f32::from_le_bytes(c.try_into().expect("4 bytes"))))
-            .collect(),
-    )
+    let src = frame.chunks_exact(E::WIRE_BYTES);
+    match how {
+        Land::Fold => {
+            for (d, b) in dst.iter_mut().zip(src) {
+                *d = E::from_f32(d.to_f32() + E::read_le(b).to_f32());
+            }
+        }
+        Land::Copy => {
+            for (d, b) in dst.iter_mut().zip(src) {
+                *d = E::read_le(b);
+            }
+        }
+    }
+    true
 }
 
 fn phase_char(phase: u8) -> char {
@@ -239,6 +272,8 @@ pub struct Communicator<F: Fabric> {
     /// Staged observability events; the world driver commits them only
     /// for clean executions (see [`ObsCtx`](crate::exec::ObsCtx)).
     obs: Option<TrackBuf>,
+    /// Every outbound payload is encoded here, reused from send to send.
+    wire: Vec<u8>,
 }
 
 impl<F: Fabric> Communicator<F> {
@@ -257,6 +292,7 @@ impl<F: Fabric> Communicator<F> {
             dead: vec![false; n],
             recv_timeout,
             obs: None,
+            wire: Vec::new(),
         }
     }
 
@@ -296,42 +332,75 @@ impl<F: Fabric> Communicator<F> {
         }
     }
 
-    /// Send `data` to `to` under the collective leg `(tree, chunk, phase)`.
-    pub fn send_elems<E: Element>(
-        &mut self,
-        to: usize,
-        tree: u8,
-        chunk: u32,
-        phase: u8,
-        data: &[E],
-    ) -> Result<(), CommError> {
+    fn note_send(&mut self, to: usize, tag: Tag, elems: usize) {
         if let Some(buf) = &mut self.obs {
-            let len = data.len() as u64;
+            let Tag { phase, tree, chunk } = tag;
             let name = format!("send:{}:t{tree}:c{chunk}->r{to}", phase_char(phase));
-            buf.op(&name, len, len as f64);
+            buf.op(&name, elems as u64, elems as f64);
         }
-        let tag = Tag { phase, tree, chunk };
-        self.fab.send(to, tag, &encode_elems(data))
     }
 
-    /// Receive the element buffer `from` sent under `(tree, chunk, phase)`,
-    /// stashing any other traffic that arrives first.
-    pub fn recv_elems<E: Element>(
+    fn note_recv(&mut self, from: usize, tag: Tag, elems: usize) {
+        if let Some(buf) = &mut self.obs {
+            let Tag { phase, tree, chunk } = tag;
+            let name = format!("recv:{}:t{tree}:c{chunk}<-r{from}", phase_char(phase));
+            buf.op(&name, elems as u64, elems as f64);
+        }
+    }
+
+    /// Send `data` under `tag` to each of `to` in turn, encoded once (and
+    /// not at all for nobody: a tree root has no parent to send up to).
+    fn send_elems<E: Element>(
+        &mut self,
+        to: &[usize],
+        tag: Tag,
+        data: &[E],
+    ) -> Result<(), CommError> {
+        if to.is_empty() {
+            return Ok(());
+        }
+        let len = encode_into(&mut self.wire, data);
+        for &peer in to {
+            self.note_send(peer, tag, data.len());
+            self.fab.send(peer, tag, &self.wire[..len])?;
+        }
+        Ok(())
+    }
+
+    /// Pass a received frame of `elems` elements on to each of `to`, as
+    /// the bytes it arrived in.
+    fn relay(
+        &mut self,
+        to: &[usize],
+        tag: Tag,
+        elems: usize,
+        frame: &[u8],
+    ) -> Result<(), CommError> {
+        for &peer in to {
+            self.note_send(peer, tag, elems);
+            self.fab.send(peer, tag, frame)?;
+        }
+        Ok(())
+    }
+
+    /// Receive the frame `from` sent under `tag` straight into `dst` —
+    /// folded or copied, as `how` says — stashing any other traffic that
+    /// arrives first. The frame comes back still owned by the caller, to
+    /// relay or [`recycle`](Fabric::recycle); one that does not hold
+    /// exactly `dst.len()` elements is a [`CommError::Protocol`].
+    fn recv_elems<E: Element>(
         &mut self,
         from: usize,
-        tree: u8,
-        chunk: u32,
-        phase: u8,
-    ) -> Result<Vec<E>, CommError> {
-        let tag = Tag { phase, tree, chunk };
-        let bytes = self.recv_raw(from, tag)?;
-        let data = decode_elems::<E>(&bytes).ok_or(CommError::Protocol { peer: from })?;
-        if let Some(buf) = &mut self.obs {
-            let len = data.len() as u64;
-            let name = format!("recv:{}:t{tree}:c{chunk}<-r{from}", phase_char(tag.phase));
-            buf.op(&name, len, len as f64);
+        tag: Tag,
+        dst: &mut [E],
+        how: Land,
+    ) -> Result<Vec<u8>, CommError> {
+        let frame = self.recv_raw(from, tag)?;
+        if !land_frame(dst, &frame, how) {
+            return Err(CommError::Protocol { peer: from });
         }
-        Ok(data)
+        self.note_recv(from, tag, dst.len());
+        Ok(frame)
     }
 
     /// Tag-matched receive over the raw fabric. The stash is consulted
@@ -397,16 +466,60 @@ impl<F: Fabric> Communicator<F> {
                 self.dbtree_allreduce_rank(&dt, data, chunks)
             }
             Algo::Ring => {
-                let shard = self.reduce_scatter(data.to_vec())?;
-                let full = self.allgather(&shard)?;
-                if full.len() != data.len() {
-                    return Err(CommError::Protocol {
-                        peer: self.ring_prev(),
-                    });
+                let rank = self.rank();
+                let ranges = chunk_ranges(data.len(), n);
+                self.ring_reduce_scatter(data, &ranges)?;
+                let frames = self.ring_allgather(&data[ranges[rank].clone()])?;
+                for (k, frame) in frames.into_iter().enumerate() {
+                    let origin = (rank + n - 1 - k) % n;
+                    if !land_frame(&mut data[ranges[origin].clone()], &frame, Land::Copy) {
+                        return Err(CommError::Protocol {
+                            peer: self.ring_prev(),
+                        });
+                    }
+                    self.fab.recycle(frame);
                 }
-                data.copy_from_slice(&full);
                 Ok(())
             }
+        }
+    }
+
+    /// Reduce-up leg of a tree collective on one segment: fold each
+    /// child's frame into `seg`, in the tree's fixed child order, and pass
+    /// the partial sum to the parent. On the root `seg` is then the sum.
+    fn tree_up<E: Element>(
+        &mut self,
+        tree: &Tree,
+        tag: Tag,
+        seg: &mut [E],
+    ) -> Result<(), CommError> {
+        let rank = self.rank();
+        for &child in &tree.children[rank] {
+            let frame = self.recv_elems(child, tag, seg, Land::Fold)?;
+            self.fab.recycle(frame);
+        }
+        self.send_elems(tree.parent[rank].as_slice(), tag, seg)
+    }
+
+    /// Broadcast-down leg of a tree collective on one segment: the root
+    /// sends `seg` to its children; every other rank overwrites `seg` with
+    /// its parent's frame and passes that frame on untouched.
+    fn tree_down<E: Element>(
+        &mut self,
+        tree: &Tree,
+        tag: Tag,
+        seg: &mut [E],
+    ) -> Result<(), CommError> {
+        let rank = self.rank();
+        let children = &tree.children[rank];
+        match tree.parent[rank] {
+            Some(parent) => {
+                let frame = self.recv_elems(parent, tag, seg, Land::Copy)?;
+                self.relay(children, tag, seg.len(), &frame)?;
+                self.fab.recycle(frame);
+                Ok(())
+            }
+            None => self.send_elems(children, tag, seg),
         }
     }
 
@@ -419,29 +532,14 @@ impl<F: Fabric> Communicator<F> {
         data: &mut [E],
         chunks: usize,
     ) -> Result<(), CommError> {
-        let rank = self.rank();
-        let ranges = chunk_ranges(data.len(), chunks);
-        for (c, range) in ranges.iter().enumerate() {
+        for (c, range) in chunk_ranges(data.len(), chunks).into_iter().enumerate() {
             let mid = range.start + range.len() / 2;
             let halves = [range.start..mid, mid..range.end];
-            for (ti, tree) in [&dt.a, &dt.b].into_iter().enumerate() {
-                let seg = halves[ti].clone();
-                let mut acc: Vec<E> = data[seg.clone()].to_vec();
-                for &child in &tree.children[rank] {
-                    let got = self.recv_elems(child, ti as u8, c as u32, PHASE_UP)?;
-                    reduce_add_into(&mut acc, &got);
-                }
-                let result = match tree.parent[rank] {
-                    Some(parent) => {
-                        self.send_elems(parent, ti as u8, c as u32, PHASE_UP, &acc)?;
-                        self.recv_elems(parent, ti as u8, c as u32, PHASE_DOWN)?
-                    }
-                    None => acc,
-                };
-                for &child in &tree.children[rank] {
-                    self.send_elems(child, ti as u8, c as u32, PHASE_DOWN, &result)?;
-                }
-                data[seg].copy_from_slice(&result);
+            for (ti, (tree, half)) in [&dt.a, &dt.b].into_iter().zip(halves).enumerate() {
+                let (tree_id, chunk) = (ti as u8, c as u32);
+                let seg = &mut data[half];
+                self.tree_up(tree, Tag::new(PHASE_UP, tree_id, chunk), seg)?;
+                self.tree_down(tree, Tag::new(PHASE_DOWN, tree_id, chunk), seg)?;
             }
         }
         Ok(())
@@ -449,6 +547,61 @@ impl<F: Fabric> Communicator<F> {
 
     fn ring_prev(&self) -> usize {
         (self.rank() + self.world_size() - 1) % self.world_size()
+    }
+
+    fn ring_next(&self) -> usize {
+        (self.rank() + 1) % self.world_size()
+    }
+
+    /// The ring reduce-scatter, in place: afterwards `data[ranges[rank]]`
+    /// is the elementwise sum of every rank's chunk `rank`; the other
+    /// chunks hold partial sums.
+    fn ring_reduce_scatter<E: Element>(
+        &mut self,
+        data: &mut [E],
+        ranges: &[std::ops::Range<usize>],
+    ) -> Result<(), CommError> {
+        let n = self.world_size();
+        let rank = self.rank();
+        let (next, prev) = (self.ring_next(), self.ring_prev());
+        // Step s forwards chunk (rank − s − 1) and folds this rank's
+        // contribution into chunk (rank − s − 2) arriving from upstream;
+        // the last chunk to arrive is `rank`, now fully reduced.
+        for s in 0..n - 1 {
+            let send_chunk = (rank + n - s - 1) % n;
+            let recv_chunk = (send_chunk + n - 1) % n;
+            let tag = Tag::new(PHASE_RING, 0, s as u32);
+            self.send_elems(&[next], tag, &data[ranges[send_chunk].clone()])?;
+            let seg = &mut data[ranges[recv_chunk].clone()];
+            let frame = self.recv_elems(prev, tag, seg, Land::Fold)?;
+            self.fab.recycle(frame);
+        }
+        Ok(())
+    }
+
+    /// The ring allgather's schedule: step `s` forwards the piece that
+    /// originated at rank `− s` — `own`, then each frame as it arrived —
+    /// and receives the one from rank `− s − 1`. Returns the `n − 1`
+    /// frames in arrival order, each a whole number of elements, for the
+    /// caller to decode and [`recycle`](Fabric::recycle).
+    fn ring_allgather<E: Element>(&mut self, own: &[E]) -> Result<Vec<Vec<u8>>, CommError> {
+        let n = self.world_size();
+        let (next, prev) = (self.ring_next(), self.ring_prev());
+        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(n - 1);
+        for s in 0..n - 1 {
+            let tag = Tag::new(PHASE_RING, 1, s as u32);
+            match frames.last() {
+                None => self.send_elems(&[next], tag, own)?,
+                Some(last) => self.relay(&[next], tag, last.len() / E::WIRE_BYTES, last)?,
+            }
+            let frame = self.recv_raw(prev, tag)?;
+            if !frame.len().is_multiple_of(E::WIRE_BYTES) {
+                return Err(CommError::Protocol { peer: prev });
+            }
+            self.note_recv(prev, tag, frame.len() / E::WIRE_BYTES);
+            frames.push(frame);
+        }
+        Ok(frames)
     }
 
     /// This rank's ring reduce-scatter: `data` is this rank's full-length
@@ -465,25 +618,9 @@ impl<F: Fabric> Communicator<F> {
     /// them back to back needs only per-pair FIFO: a ring rank hears from
     /// its predecessor alone, in the order it asks.)
     pub fn reduce_scatter<E: Element>(&mut self, mut data: Vec<E>) -> Result<Vec<E>, CommError> {
-        let n = self.world_size();
         let rank = self.rank();
-        let ranges = chunk_ranges(data.len(), n);
-        let (next, prev) = ((rank + 1) % n, self.ring_prev());
-        // Step s forwards chunk (rank − s − 1) and folds this rank's
-        // contribution into chunk (rank − s − 2) arriving from upstream;
-        // the last chunk to arrive is `rank`, now fully reduced.
-        for s in 0..n - 1 {
-            let send_chunk = (rank + n - s - 1) % n;
-            let recv_chunk = (send_chunk + n - 1) % n;
-            let out = &data[ranges[send_chunk].clone()];
-            self.send_elems(next, 0, s as u32, PHASE_RING, out)?;
-            let got: Vec<E> = self.recv_elems(prev, 0, s as u32, PHASE_RING)?;
-            let seg = &mut data[ranges[recv_chunk].clone()];
-            if got.len() != seg.len() {
-                return Err(CommError::Protocol { peer: prev });
-            }
-            reduce_add_into(seg, &got);
-        }
+        let ranges = chunk_ranges(data.len(), self.world_size());
+        self.ring_reduce_scatter(&mut data, &ranges)?;
         data.truncate(ranges[rank].end);
         data.drain(..ranges[rank].start);
         Ok(data)
@@ -496,16 +633,21 @@ impl<F: Fabric> Communicator<F> {
     pub fn allgather<E: Element>(&mut self, shard: &[E]) -> Result<Vec<E>, CommError> {
         let n = self.world_size();
         let rank = self.rank();
-        let (next, prev) = ((rank + 1) % n, self.ring_prev());
-        let mut pieces: Vec<Vec<E>> = vec![Vec::new(); n];
-        pieces[rank] = shard.to_vec();
-        // Step s forwards the piece that originated at rank − s.
-        for s in 0..n - 1 {
-            let src = (rank + n - s) % n;
-            self.send_elems(next, 1, s as u32, PHASE_RING, &pieces[src])?;
-            pieces[(src + n - 1) % n] = self.recv_elems(prev, 1, s as u32, PHASE_RING)?;
+        let frames = self.ring_allgather(shard)?;
+        let arrived: usize = frames.iter().map(|f| f.len() / E::WIRE_BYTES).sum();
+        let mut out = Vec::with_capacity(shard.len() + arrived);
+        for origin in 0..n {
+            if origin == rank {
+                out.extend_from_slice(shard);
+            } else {
+                let frame = &frames[(rank + n - 1 - origin) % n];
+                out.extend(frame.chunks_exact(E::WIRE_BYTES).map(E::read_le));
+            }
         }
-        Ok(pieces.concat())
+        for frame in frames {
+            self.fab.recycle(frame);
+        }
+        Ok(out)
     }
 
     /// This rank's side of a single-tree (tree A) reduce with no
@@ -522,27 +664,11 @@ impl<F: Fabric> Communicator<F> {
             return Ok(Some(data));
         }
         let dt = DoubleBinaryTree::new(n);
-        let tree = &dt.a;
-        let rank = self.rank();
         let chunks = chunks.clamp(1, data.len().max(1));
-        let ranges = chunk_ranges(data.len(), chunks);
-        for (c, range) in ranges.iter().enumerate() {
-            let mut acc: Vec<E> = data[range.clone()].to_vec();
-            for &child in &tree.children[rank] {
-                let got = self.recv_elems(child, 0, c as u32, PHASE_UP)?;
-                reduce_add_into(&mut acc, &got);
-            }
-            if let Some(parent) = tree.parent[rank] {
-                self.send_elems(parent, 0, c as u32, PHASE_UP, &acc)?;
-            } else {
-                data[range.clone()].copy_from_slice(&acc);
-            }
+        for (c, range) in chunk_ranges(data.len(), chunks).into_iter().enumerate() {
+            self.tree_up(&dt.a, Tag::new(PHASE_UP, 0, c as u32), &mut data[range])?;
         }
-        Ok(if tree.parent[rank].is_none() {
-            Some(data)
-        } else {
-            None
-        })
+        Ok((dt.a.root == self.rank()).then_some(data))
     }
 
     /// This rank's side of a tree-A broadcast from the root: the root's
@@ -554,51 +680,44 @@ impl<F: Fabric> Communicator<F> {
             return Ok(());
         }
         let dt = DoubleBinaryTree::new(n);
-        let rank = self.rank();
         let chunks = chunks.clamp(1, buf.len().max(1));
-        let ranges = chunk_ranges(buf.len(), chunks);
-        for (c, range) in ranges.iter().enumerate() {
-            if let Some(parent) = dt.a.parent[rank] {
-                let got = self.recv_elems(parent, 0, c as u32, PHASE_DOWN)?;
-                buf[range.clone()].copy_from_slice(&got);
-            }
-            for &child in &dt.a.children[rank] {
-                let out = buf[range.clone()].to_vec();
-                self.send_elems(child, 0, c as u32, PHASE_DOWN, &out)?;
-            }
+        for (c, range) in chunk_ranges(buf.len(), chunks).into_iter().enumerate() {
+            self.tree_down(&dt.a, Tag::new(PHASE_DOWN, 0, c as u32), &mut buf[range])?;
         }
         Ok(())
     }
 
     /// This node's full HFReduce data path: reduce the GPU buffers on the
-    /// "CPU" (one fused multi-input reduction), allreduce the node sum
-    /// across nodes with the double binary tree, and broadcast the result
-    /// back to every GPU buffer.
+    /// "CPU" (one fused multi-input reduction, into the first of them),
+    /// allreduce the node sum across nodes with the double binary tree,
+    /// and broadcast the result back to every GPU buffer. The buffers
+    /// returned are the ones passed in.
     pub fn hfreduce<E: Element>(
         &mut self,
-        gpu_bufs: Vec<Vec<E>>,
+        mut gpu_bufs: Vec<Vec<E>>,
         chunks: usize,
     ) -> Result<Vec<Vec<E>>, CommError> {
-        let len = gpu_bufs
-            .first()
-            .map(|b| b.len())
-            .expect("nodes must have at least one GPU buffer");
-        assert!(gpu_bufs.iter().all(|b| b.len() == len), "unequal buffers");
-        // Intra-node reduce (Algorithm 1): one widened pass.
-        let mut node_sum = vec![E::ZERO; len];
-        let refs: Vec<&[E]> = gpu_bufs.iter().map(|b| b.as_slice()).collect();
-        reduce_n_into(&mut node_sum, &refs);
         let gpus = gpu_bufs.len();
+        let (node_sum, rest) = gpu_bufs
+            .split_first_mut()
+            .expect("nodes must have at least one GPU buffer");
+        let len = node_sum.len();
+        // Intra-node reduce (Algorithm 1): one widened pass.
+        let refs: Vec<&[E]> = rest.iter().map(|b| b.as_slice()).collect();
+        reduce_n_in_place(node_sum, &refs);
         self.note("reduce:intra", len as u64, (len * gpus) as f64);
         // Inter-node allreduce (Algorithm 2).
         if self.world_size() > 1 {
             let dt = DoubleBinaryTree::new(self.world_size());
             let chunks = chunks.clamp(1, len.max(1));
-            self.dbtree_allreduce_rank(&dt, &mut node_sum, chunks)?;
+            self.dbtree_allreduce_rank(&dt, node_sum, chunks)?;
         }
         self.note("bcast:h2d", len as u64, (len * gpus) as f64);
         // H2D broadcast: every GPU buffer gets the result.
-        Ok(vec![node_sum; gpus])
+        for buf in rest {
+            buf.copy_from_slice(node_sum);
+        }
+        Ok(gpu_bufs)
     }
 
     /// This rank's all2all: `sends[dst]` goes to rank `dst`, the result's
@@ -617,49 +736,33 @@ impl<F: Fabric> Communicator<F> {
         let n = self.world_size();
         let me = self.rank();
         assert_eq!(sends.len(), n, "all2all needs one send row per rank");
+        let tag = Tag::new(PHASE_A2A, 0, seq);
         let mut out: Vec<Option<Vec<T>>> = (0..n).map(|_| None).collect();
         for (dst, payload) in sends.into_iter().enumerate() {
             if dst == me {
                 out[dst] = Some(payload);
                 continue;
             }
-            let mut bytes = Vec::new();
-            payload.wire_write(&mut bytes);
-            if let Some(buf) = &mut self.obs {
-                let len = payload.len() as u64;
-                let name = format!("send:a:t0:c{seq}->r{dst}");
-                buf.op(&name, len, len as f64);
-            }
-            let tag = Tag {
-                phase: PHASE_A2A,
-                tree: 0,
-                chunk: seq,
-            };
+            self.wire.clear();
+            payload.wire_write(&mut self.wire);
+            self.note_send(dst, tag, payload.len());
             // A dead destination cannot abort the exchange: the survivors
             // still complete theirs. Its silence surfaces below when this
             // rank waits for the dead peer's payload.
-            let _ = self.fab.send(dst, tag, &bytes);
+            let _ = self.fab.send(dst, tag, &self.wire);
         }
         for (src, slot) in out.iter_mut().enumerate() {
             if src == me {
                 continue;
             }
-            let tag = Tag {
-                phase: PHASE_A2A,
-                tree: 0,
-                chunk: seq,
-            };
-            let bytes = self.recv_raw(src, tag)?;
-            let mut cur = WireCursor::new(&bytes);
+            let frame = self.recv_raw(src, tag)?;
+            let mut cur = WireCursor::new(&frame);
             let payload = Vec::<T>::wire_read(&mut cur).ok_or(CommError::Protocol { peer: src })?;
             if !cur.is_done() {
                 return Err(CommError::Protocol { peer: src });
             }
-            if let Some(buf) = &mut self.obs {
-                let len = payload.len() as u64;
-                let name = format!("recv:a:t0:c{seq}<-r{src}");
-                buf.op(&name, len, len as f64);
-            }
+            self.fab.recycle(frame);
+            self.note_recv(src, tag, payload.len());
             *slot = Some(payload);
         }
         Ok(out
@@ -705,55 +808,130 @@ mod tests {
     }
 
     #[test]
-    fn element_wire_format_is_exact_for_all_dtypes() {
+    fn native_width_wire_is_the_identity_on_every_bit_pattern() {
+        use crate::exec::run_broadcast;
+        use crate::fabric::InMemProvider;
         use ff_dtypes::{Bf16, F16, F8E4M3};
-        let f16s: Vec<F16> = (0..64).map(|i| F16::from_f32(i as f32 * 0.25)).collect();
-        assert_eq!(decode_elems::<F16>(&encode_elems(&f16s)), Some(f16s));
-        let bf16s: Vec<Bf16> = (0..64).map(|i| Bf16::from_f32(i as f32 * 2.0)).collect();
-        assert_eq!(decode_elems::<Bf16>(&encode_elems(&bf16s)), Some(bf16s));
-        let f8s: Vec<F8E4M3> = (0..16).map(|i| F8E4M3::from_f32(i as f32)).collect();
-        assert_eq!(decode_elems::<F8E4M3>(&encode_elems(&f8s)), Some(f8s));
-        let f32s = vec![1.0f32, -2.5, 3.25e-8, f32::MAX];
-        assert_eq!(decode_elems::<f32>(&encode_elems(&f32s)), Some(f32s));
+        use ff_util::rng::ChaCha8Rng;
+        // Through a real collective, compared by bits: a round trip
+        // through `f32` would quiet every signalling bf16/f16 NaN.
+        fn check<E: Element, B: PartialEq + std::fmt::Debug>(sent: Vec<E>, bits: fn(E) -> B) {
+            let want: Vec<B> = sent.iter().map(|&x| bits(x)).collect();
+            for got in run_broadcast(sent, 2, 3, &InMemProvider) {
+                assert_eq!(got.into_iter().map(bits).collect::<Vec<B>>(), want);
+            }
+        }
+        check((0..=u16::MAX).map(Bf16::from_bits).collect(), Bf16::to_bits);
+        check((0..=u16::MAX).map(F16::from_bits).collect(), F16::to_bits);
+        check(
+            (0..=u8::MAX).map(F8E4M3::from_bits).collect(),
+            F8E4M3::to_bits,
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(0xB175);
+        let mut words: Vec<u32> = vec![
+            0x0000_0000, // +0
+            0x8000_0000, // −0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest subnormal, negative
+            0x7f80_0000, // +∞
+            0xff80_0000, // −∞
+            0x7f80_0001, // signalling NaN
+            0xffc0_0000, // quiet NaN, negative
+            0x7fff_ffff, // NaN, full payload
+        ];
+        words.extend((0..4096).map(|_| rng.next_u64() as u32));
+        check(
+            words.into_iter().map(f32::from_bits).collect(),
+            f32::to_bits,
+        );
     }
+
+    /// Rank `me` of a two-rank world as a communicator, the other rank as
+    /// a raw endpoint that has already put `frames` (tag, payload length)
+    /// on the wire — a peer that sends what it likes.
+    fn with_rogue_peer(
+        me: usize,
+        frames: &[(Tag, usize)],
+    ) -> (Communicator<InMemFabric>, InMemFabric) {
+        let mut world = InMemFabric::mesh(2);
+        let mut rogue = world.remove(1 - me);
+        for &(tag, len) in frames {
+            rogue.send(me, tag, &vec![0u8; len]).expect("send");
+        }
+        (Communicator::new(world.remove(0)), rogue)
+    }
+
+    /// Lengths no two-element `f32` segment (8 bytes) decodes from: an
+    /// element too many, an element too few, not whole elements, nothing.
+    const BAD_LENGTHS: [usize; 4] = [12, 4, 7, 0];
+    const ROGUE: CommError = CommError::Protocol { peer: 1 };
 
     #[test]
     fn duplicate_undelivered_tag_is_a_protocol_error() {
-        // A raw fabric endpoint stands in for a misbehaving rank 1: the
-        // same tag twice while rank 0 is waiting for something else.
-        let mut world = InMemFabric::mesh(2);
-        let mut rogue = world.pop().expect("two");
-        let mut comm = Communicator::new(world.pop().expect("two"));
-        let tag = Tag {
-            phase: PHASE_UP,
-            tree: 0,
-            chunk: 7,
-        };
-        rogue.send(0, tag, &[0u8; 4]).expect("send");
-        rogue.send(0, tag, &[0u8; 4]).expect("send");
+        // The same tag twice while rank 0 is waiting for something else.
+        let queued = Tag::new(PHASE_UP, 0, 7);
+        let (mut comm, _rogue) = with_rogue_peer(0, &[(queued, 4), (queued, 4)]);
+        let awaited = Tag::new(PHASE_UP, 0, 0);
         assert_eq!(
-            comm.recv_elems::<f32>(1, 0, 0, PHASE_UP),
-            Err(CommError::Protocol { peer: 1 })
+            comm.recv_elems::<f32>(1, awaited, &mut [], Land::Copy),
+            Err(ROGUE)
         );
     }
 
     #[test]
     fn ring_frame_of_the_wrong_length_is_a_protocol_error() {
         // Rank 0 expects rank 1's half of a 4-element buffer (2 elements)
-        // in the reduce-scatter; the rogue endpoint delivers 3.
-        let mut world = InMemFabric::mesh(2);
-        let mut rogue = world.pop().expect("two");
-        let mut comm = Communicator::new(world.pop().expect("two"));
-        let tag = Tag {
-            phase: PHASE_RING,
-            tree: 0,
-            chunk: 0,
-        };
-        rogue.send(0, tag, &[0u8; 12]).expect("send");
-        assert_eq!(
-            comm.reduce_scatter(vec![1.0f32; 4]),
-            Err(CommError::Protocol { peer: 1 })
-        );
+        // in the reduce-scatter.
+        for bad in BAD_LENGTHS {
+            let (mut comm, _rogue) = with_rogue_peer(0, &[(Tag::new(PHASE_RING, 0, 0), bad)]);
+            assert_eq!(comm.reduce_scatter(vec![1.0f32; 4]), Err(ROGUE), "{bad}");
+        }
+        // The allgather takes a shard of any length, but only whole elements.
+        let (mut comm, _rogue) = with_rogue_peer(0, &[(Tag::new(PHASE_RING, 1, 0), 7)]);
+        assert_eq!(comm.allgather(&[1.0f32; 2]), Err(ROGUE));
+    }
+
+    // In the two-rank double tree rank 1 is the root of tree A and rank 0
+    // the root of tree B, so rank 0's allreduce of 4 elements in one chunk
+    // hears `down` on tree 0 and then `up` on tree 1, 2 elements each.
+
+    #[test]
+    fn dbtree_down_frame_of_the_wrong_length_is_a_protocol_error() {
+        for bad in BAD_LENGTHS {
+            let (mut comm, _rogue) = with_rogue_peer(0, &[(Tag::new(PHASE_DOWN, 0, 0), bad)]);
+            let res = comm.allreduce(&mut [1.0f32; 4], Op::Sum, Algo::DbTree { chunks: 1 });
+            assert_eq!(res, Err(ROGUE), "{bad}");
+        }
+    }
+
+    #[test]
+    fn dbtree_up_frame_of_the_wrong_length_is_a_protocol_error() {
+        for bad in BAD_LENGTHS {
+            let frames = [
+                (Tag::new(PHASE_DOWN, 0, 0), 8),
+                (Tag::new(PHASE_UP, 1, 0), bad),
+            ];
+            let (mut comm, _rogue) = with_rogue_peer(0, &frames);
+            let res = comm.allreduce(&mut [1.0f32; 4], Op::Sum, Algo::DbTree { chunks: 1 });
+            assert_eq!(res, Err(ROGUE), "{bad}");
+        }
+    }
+
+    #[test]
+    fn reduce_to_root_frame_of_the_wrong_length_is_a_protocol_error() {
+        for bad in BAD_LENGTHS {
+            let (mut comm, _rogue) = with_rogue_peer(1, &[(Tag::new(PHASE_UP, 0, 0), bad)]);
+            let res = comm.reduce_to_root(vec![1.0f32; 2], 1);
+            assert_eq!(res, Err(CommError::Protocol { peer: 0 }), "{bad}");
+        }
+    }
+
+    #[test]
+    fn broadcast_frame_of_the_wrong_length_is_a_protocol_error() {
+        for bad in BAD_LENGTHS {
+            let (mut comm, _rogue) = with_rogue_peer(0, &[(Tag::new(PHASE_DOWN, 0, 0), bad)]);
+            assert_eq!(comm.broadcast(&mut [1.0f32; 2], 1), Err(ROGUE), "{bad}");
+        }
     }
 
     #[test]

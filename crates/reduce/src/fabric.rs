@@ -24,6 +24,14 @@
 //! runs over a backend into `(latency, bandwidth)` constants for
 //! `ff_hw::LinkParams`.
 //!
+//! A frame's buffer belongs to whoever holds the [`RawMsg`]; once its bytes
+//! are consumed the holder gives it back through [`Fabric::recycle`], and
+//! the backend fills it again — the TCP reader threads for the next
+//! inbound frame, [`InMemFabric::send`] for the next outbound one — so a
+//! steady run of collectives allocates no frames. What a backend keeps is
+//! capped ([`FRAME_POOL_MAX_FRAMES`], [`FRAME_POOL_MAX_BYTES`]): a length
+//! a peer chose is never memory a peer pins.
+//!
 //! Both concrete backends share one liveness protocol: a fabric that is
 //! dropped (cleanly or because its rank died) delivers a *hangup* control
 //! frame to every peer — explicitly for in-memory channels, via FIN/EOF
@@ -34,8 +42,9 @@
 //! on real hardware).
 
 use ff_util::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default receive timeout for fault-free collectives: generous enough
@@ -135,6 +144,11 @@ pub struct Tag {
 }
 
 impl Tag {
+    /// The tag of leg `(phase, tree, chunk)`.
+    pub const fn new(phase: u8, tree: u8, chunk: u32) -> Tag {
+        Tag { phase, tree, chunk }
+    }
+
     /// The hangup control tag.
     pub const fn ctrl() -> Tag {
         Tag {
@@ -185,10 +199,57 @@ pub trait Fabric: Send {
     fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError>;
     /// Next inbound frame from any peer, waiting at most `timeout`.
     fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError>;
+    /// Give back the buffer of a frame [`recv_any`](Self::recv_any)
+    /// delivered, once its bytes are consumed, for the backend to fill
+    /// again. A frame that is never returned is merely freed, and a
+    /// backend with no use for it frees it here.
+    fn recycle(&mut self, _frame: Vec<u8>) {}
     /// Suppress the explicit goodbye on drop: an injected death must look
     /// like silence, not a polite hangup. Backends whose teardown is
     /// inherently visible (TCP FIN) may ignore this.
     fn set_silent_teardown(&mut self, _silent: bool) {}
+}
+
+// ---------------------------------------------------------------------------
+// Recycled frame buffers
+// ---------------------------------------------------------------------------
+
+/// Most buffers one endpoint keeps for reuse.
+pub const FRAME_POOL_MAX_FRAMES: usize = 32;
+
+/// Most bytes of capacity one endpoint keeps for reuse; a single buffer
+/// above this is freed on return. Collectives chunk long buffers, so
+/// in-tree frames sit far below it.
+pub const FRAME_POOL_MAX_BYTES: usize = 64 << 20;
+
+/// Returned frame buffers awaiting their next fill, capped in count and
+/// in bytes so that frame lengths chosen by a peer bound nothing.
+#[derive(Default)]
+struct FramePool {
+    frames: Vec<Vec<u8>>,
+    /// Σ capacity over `frames`.
+    bytes: usize,
+}
+
+impl FramePool {
+    fn put(&mut self, frame: Vec<u8>) {
+        let cap = frame.capacity();
+        if cap > 0
+            && self.frames.len() < FRAME_POOL_MAX_FRAMES
+            && self.bytes + cap <= FRAME_POOL_MAX_BYTES
+        {
+            self.bytes += cap;
+            self.frames.push(frame);
+        }
+    }
+
+    /// An empty buffer: the most recently returned one, or a fresh one.
+    fn take(&mut self) -> Vec<u8> {
+        let mut frame = self.frames.pop().unwrap_or_default();
+        self.bytes -= frame.capacity();
+        frame.clear();
+        frame
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +262,8 @@ pub struct InMemFabric {
     rank: usize,
     txs: Vec<Sender<RawMsg>>,
     rx: Receiver<RawMsg>,
+    /// Frames this rank consumed, refilled by its own sends.
+    pool: FramePool,
     silent: bool,
 }
 
@@ -214,6 +277,7 @@ impl InMemFabric {
                 rank,
                 txs: txs.clone(),
                 rx,
+                pool: FramePool::default(),
                 silent: false,
             })
             .collect()
@@ -235,11 +299,13 @@ impl Fabric for InMemFabric {
 
     fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
         debug_assert_ne!(to, self.rank, "self-sends never reach the fabric");
+        let mut frame = self.pool.take();
+        frame.extend_from_slice(bytes);
         self.txs[to]
             .send(RawMsg {
                 from: self.rank,
                 tag,
-                bytes: bytes.to_vec(),
+                bytes: frame,
             })
             .map_err(|_| CommError::Disconnected { peer: to })
     }
@@ -249,6 +315,10 @@ impl Fabric for InMemFabric {
             RecvTimeoutError::Timeout => RecvAnyError::Timeout,
             RecvTimeoutError::Disconnected => RecvAnyError::Closed,
         })
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.pool.put(frame);
     }
 
     fn set_silent_teardown(&mut self, silent: bool) {
@@ -285,9 +355,13 @@ const TCP_HEADER_LEN: usize = 1 + 1 + 4 + 4;
 
 /// Largest payload one TCP frame may carry. The length field is four
 /// bytes a peer controls, so the reader refuses anything above this
-/// before allocating for it; 1 GiB is far beyond any in-tree message
+/// before sizing a buffer for it; 1 GiB is far beyond any in-tree message
 /// (collectives chunk long buffers) yet bounds what a bad header costs.
 const MAX_FRAME_BYTES: usize = 1 << 30;
+
+/// A rank's returned frames, shared with the reader threads that refill
+/// them.
+type SharedPool = Arc<ff_util::sync::Mutex<FramePool>>;
 
 fn encode_header(tag: Tag, len: usize) -> [u8; TCP_HEADER_LEN] {
     let mut h = [0u8; TCP_HEADER_LEN];
@@ -307,6 +381,7 @@ pub struct TcpFabric {
     world: usize,
     writers: Vec<Option<TcpStream>>,
     rx: Receiver<RawMsg>,
+    pool: SharedPool,
 }
 
 impl TcpFabric {
@@ -324,6 +399,7 @@ impl TcpFabric {
             .collect::<std::io::Result<_>>()?;
         let (txs, rxs): (Vec<Sender<RawMsg>>, Vec<Receiver<RawMsg>>) =
             (0..n).map(|_| unbounded()).unzip();
+        let pools: Vec<SharedPool> = (0..n).map(|_| SharedPool::default()).collect();
         let mut writers: Vec<Vec<Option<TcpStream>>> =
             (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
         for i in 0..n {
@@ -334,8 +410,8 @@ impl TcpFabric {
                 let (b, _) = listeners[j].accept()?;
                 a.set_nodelay(true)?;
                 b.set_nodelay(true)?;
-                spawn_reader(a.try_clone()?, j, txs[i].clone());
-                spawn_reader(b.try_clone()?, i, txs[j].clone());
+                spawn_reader(a.try_clone()?, j, txs[i].clone(), pools[i].clone());
+                spawn_reader(b.try_clone()?, i, txs[j].clone(), pools[j].clone());
                 writers[i][j] = Some(a);
                 writers[j][i] = Some(b);
             }
@@ -343,41 +419,44 @@ impl TcpFabric {
         drop(txs); // inboxes close once every reader thread exits
         Ok(writers
             .into_iter()
-            .zip(rxs)
+            .zip(rxs.into_iter().zip(pools))
             .enumerate()
-            .map(|(rank, (w, rx))| TcpFabric {
+            .map(|(rank, (w, (rx, pool)))| TcpFabric {
                 rank,
                 world: n,
                 writers: w,
                 rx,
+                pool,
             })
             .collect())
     }
 }
 
 /// Demux thread: read frames from one peer's stream into the inbox until
-/// EOF, error or an oversized frame, then deliver the hangup frame.
-fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>) {
+/// EOF, error or an oversized frame, then deliver the hangup frame. Each
+/// payload lands in a buffer from `pool` when one is waiting there.
+fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>, pool: SharedPool) {
     std::thread::spawn(move || {
         loop {
             let mut header = [0u8; TCP_HEADER_LEN];
             if stream.read_exact(&mut header).is_err() {
                 break;
             }
-            let tag = Tag {
-                phase: header[0],
-                tree: header[1],
-                chunk: u32::from_le_bytes(header[2..6].try_into().expect("4 bytes")),
-            };
-            let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes")) as usize;
+            let [phase, tree, c0, c1, c2, c3, l0, l1, l2, l3] = header;
+            let tag = Tag::new(phase, tree, u32::from_le_bytes([c0, c1, c2, c3]));
+            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
             if len > MAX_FRAME_BYTES {
                 // Nothing after a bad header can be framed: close the
                 // stream so the peer's writes fail too.
                 let _ = stream.shutdown(Shutdown::Both);
                 break;
             }
-            let mut bytes = vec![0u8; len];
-            if stream.read_exact(&mut bytes).is_err() {
+            // Appending through `take` fills spare capacity as it is: a
+            // reused buffer is neither reallocated nor zeroed first.
+            let mut bytes = pool.lock().take();
+            bytes.reserve_exact(len);
+            let payload = (&stream).take(len as u64).read_to_end(&mut bytes);
+            if !matches!(payload, Ok(n) if n == len) {
                 break;
             }
             if tx.send(RawMsg { from, tag, bytes }).is_err() {
@@ -392,6 +471,31 @@ fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>) {
             bytes: Vec::new(),
         });
     });
+}
+
+/// Header and payload as one vectored write, so a frame that fits the
+/// socket buffer is one syscall and — with `TCP_NODELAY` — one segment
+/// train instead of a lone 10-byte header followed by its payload.
+fn write_frame(
+    stream: &mut TcpStream,
+    header: &[u8; TCP_HEADER_LEN],
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let mut sent = 0;
+    while sent < TCP_HEADER_LEN + payload.len() {
+        let wrote = if sent < TCP_HEADER_LEN {
+            stream.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+        } else {
+            stream.write(&payload[sent - TCP_HEADER_LEN..])
+        };
+        match wrote {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl Fabric for TcpFabric {
@@ -418,7 +522,7 @@ impl Fabric for TcpFabric {
             bytes.len()
         );
         let header = encode_header(tag, bytes.len());
-        if stream.write_all(&header).is_err() || stream.write_all(bytes).is_err() {
+        if write_frame(stream, &header, bytes).is_err() {
             self.writers[to] = None;
             return Err(CommError::Disconnected { peer: to });
         }
@@ -430,6 +534,10 @@ impl Fabric for TcpFabric {
             RecvTimeoutError::Timeout => RecvAnyError::Timeout,
             RecvTimeoutError::Disconnected => RecvAnyError::Closed,
         })
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.pool.lock().put(frame);
     }
     // TCP teardown is inherently visible (FIN → reader EOF → hangup), so
     // `set_silent_teardown` keeps its no-op default: injected deaths over
@@ -529,6 +637,10 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
         self.inner.recv_any(timeout)
     }
 
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.inner.recycle(frame);
+    }
+
     fn set_silent_teardown(&mut self, silent: bool) {
         self.inner.set_silent_teardown(silent);
     }
@@ -571,11 +683,11 @@ impl CalStats {
 }
 
 /// Shared handle to a world's calibration meters.
-pub type CalSink = std::sync::Arc<ff_util::sync::Mutex<CalStats>>;
+pub type CalSink = Arc<ff_util::sync::Mutex<CalStats>>;
 
 /// A fresh, zeroed [`CalSink`].
 pub fn cal_sink() -> CalSink {
-    std::sync::Arc::new(ff_util::sync::Mutex::new(CalStats::default()))
+    Arc::new(ff_util::sync::Mutex::new(CalStats::default()))
 }
 
 /// Transport middleware that meters every message: per-send wall-clock
@@ -625,6 +737,10 @@ impl<F: Fabric> Fabric for CalibratedFabric<F> {
             }
         }
         res
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.inner.recycle(frame);
     }
 
     fn set_silent_teardown(&mut self, silent: bool) {
@@ -740,6 +856,66 @@ mod tests {
     }
 
     #[test]
+    fn tcp_frame_larger_than_the_socket_buffers_arrives_whole() {
+        // 8 MiB cannot leave in one write: the vectored write's
+        // continuation after a partial header-plus-payload write runs.
+        let mut world = TcpFabric::mesh(2).expect("sockets");
+        let mut f1 = world.pop().expect("two");
+        let mut f0 = world.pop().expect("two");
+        let big: Vec<u8> = (0..8usize << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+        let tag = Tag::new(PHASE_RING, 1, 3);
+        f0.send(1, tag, &big).expect("send");
+        f0.send(1, tag, b"next").expect("send");
+        let got = f1.recv_any(Duration::from_secs(5)).expect("recv");
+        assert_eq!(got.tag, tag);
+        assert!(got.bytes == big, "payload differs");
+        let got = f1.recv_any(Duration::from_secs(5)).expect("recv");
+        assert_eq!(got.bytes, b"next", "framing intact after the long frame");
+    }
+
+    #[test]
+    fn frame_pool_is_bounded_in_frames_and_in_bytes() {
+        let mut pool = FramePool::default();
+        for _ in 0..FRAME_POOL_MAX_FRAMES + 5 {
+            pool.put(Vec::with_capacity(64));
+        }
+        assert_eq!(pool.frames.len(), FRAME_POOL_MAX_FRAMES);
+        assert_eq!(pool.bytes, FRAME_POOL_MAX_FRAMES * 64);
+        // Three buffers that together exceed the byte bound: two stay.
+        // (Address space only; the pages are never touched.)
+        let mut pool = FramePool::default();
+        for _ in 0..3 {
+            pool.put(Vec::with_capacity(FRAME_POOL_MAX_BYTES / 3 + 1));
+        }
+        assert_eq!(pool.frames.len(), 2);
+        assert!(pool.bytes <= FRAME_POOL_MAX_BYTES);
+        pool.put(vec![1, 2, 3]);
+        assert_eq!(pool.take(), Vec::<u8>::new(), "handed out empty");
+        pool.take();
+        pool.take();
+        assert_eq!((pool.frames.len(), pool.bytes), (0, 0));
+        assert_eq!(pool.take().capacity(), 0, "an empty pool allocates nothing");
+    }
+
+    #[test]
+    fn tcp_reader_refills_a_returned_frame() {
+        let mut world = TcpFabric::mesh(2).expect("sockets");
+        let mut f1 = world.pop().expect("two");
+        let mut f0 = world.pop().expect("two");
+        let tag = Tag::new(PHASE_UP, 0, 0);
+        f1.send(0, tag, &[7u8; 1000]).expect("send");
+        let first = f0.recv_any(Duration::from_secs(5)).expect("recv");
+        assert_eq!(first.bytes, [7u8; 1000]);
+        let addr = first.bytes.as_ptr();
+        // Back before the next frame is on the wire, so the reader finds it.
+        f0.recycle(first.bytes);
+        f1.send(0, tag, &[9u8; 600]).expect("send");
+        let second = f0.recv_any(Duration::from_secs(5)).expect("recv");
+        assert_eq!(second.bytes, [9u8; 600]);
+        assert_eq!(second.bytes.as_ptr(), addr, "same buffer, no allocation");
+    }
+
+    #[test]
     fn oversized_tcp_header_is_a_hangup_not_an_allocation() {
         // A raw socket stands in for a misbehaving rank 1: it declares a
         // 4 GiB payload and then keeps the connection open. Rank 0's
@@ -749,19 +925,22 @@ mod tests {
         let mut raw = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (accepted, _) = listener.accept().expect("accept");
         let (tx, rx) = unbounded();
-        spawn_reader(accepted.try_clone().expect("clone"), 1, tx);
+        let pool = SharedPool::default();
+        spawn_reader(accepted.try_clone().expect("clone"), 1, tx, pool.clone());
         let fab = TcpFabric {
             rank: 0,
             world: 2,
             writers: vec![None, Some(accepted)],
             rx,
+            pool,
         };
         let mut header = [0u8; TCP_HEADER_LEN]; // phase 0 = PHASE_UP, tree 0, chunk 0
         header[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         raw.write_all(&header).expect("write header");
         let mut comm = crate::comm::Communicator::with_timeout(fab, Duration::from_secs(5));
         assert_eq!(
-            comm.recv_elems::<f32>(1, 0, 0, PHASE_UP),
+            // Rank 1 is the broadcast root of a two-rank world: rank 0 waits on it.
+            comm.broadcast(&mut [0.0f32], 1),
             Err(CommError::Disconnected { peer: 1 })
         );
         // And the teardown reached the peer: its stream is closed.

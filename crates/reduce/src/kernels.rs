@@ -44,6 +44,30 @@ pub fn reduce_n_into<E: Element>(dst: &mut [E], srcs: &[&[E]]) {
     }
 }
 
+/// [`reduce_n_into`] with the first input doubling as the destination:
+/// `dst[i]` becomes the sum of `dst[i]` and every `rest[·][i]`, bit for bit
+/// what `reduce_n_into(out, &[dst, rest…])` stores (same `f32` accumulation
+/// order, from the same `0.0` — which is what turns a lone `-0.0` into
+/// `+0.0` there), without the extra buffer. Written over blocks like
+/// [`reduce_add_into`] so the fan-in vectorizes.
+pub fn reduce_n_in_place<E: Element>(dst: &mut [E], rest: &[&[E]]) {
+    for s in rest {
+        assert_eq!(s.len(), dst.len(), "length mismatch");
+    }
+    for (b, db) in dst.chunks_mut(BLOCK).enumerate() {
+        let mut acc = [0.0f32; BLOCK];
+        let srcs = std::iter::once(&*db).chain(rest.iter().map(|s| &s[b * BLOCK..]));
+        for s in srcs {
+            for (a, x) in acc.iter_mut().zip(s) {
+                *a += x.to_f32();
+            }
+        }
+        for (d, a) in db.iter_mut().zip(acc) {
+            *d = E::from_f32(a);
+        }
+    }
+}
+
 /// Split `len` elements into `chunks` contiguous ranges as evenly as
 /// possible (the pipelining split of Algorithm 1). Every element is covered
 /// exactly once; empty ranges occur only when `chunks > len`.
@@ -137,6 +161,37 @@ mod tests {
                 .sum();
             assert_eq!(out[i], Bf16::from_f32(want), "index {i}");
         }
+    }
+
+    #[test]
+    fn n_way_in_place_matches_n_way_into_bit_for_bit() {
+        fn check<E: Element>(patterns: &[f32]) {
+            for len in [0usize, 1, 63, 64, 65, 200] {
+                let srcs: Vec<Vec<E>> = (0..4)
+                    .map(|g| {
+                        (0..len)
+                            .map(|i| E::from_f32(patterns[(g * 7 + i) % patterns.len()]))
+                            .collect()
+                    })
+                    .collect();
+                for fan_in in 1..=srcs.len() {
+                    let refs: Vec<&[E]> = srcs[..fan_in].iter().map(|v| v.as_slice()).collect();
+                    let mut want = vec![E::ZERO; len];
+                    reduce_n_into(&mut want, &refs);
+                    let mut got = srcs[0].clone();
+                    reduce_n_in_place(&mut got, &refs[1..]);
+                    let bits = |v: &[E]| v.iter().map(|x| x.to_f32().to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "len {len} fan-in {fan_in}");
+                }
+            }
+        }
+        let patterns = [
+            -0.0f32, 0.0, 1.5, -2.25, 0.1, 448.0, -448.0, 1e-3, 7.0, -0.0,
+        ];
+        check::<f32>(&patterns);
+        check::<F16>(&patterns);
+        check::<Bf16>(&patterns);
+        check::<F8E4M3>(&patterns);
     }
 
     #[test]

@@ -91,6 +91,23 @@ for prefix in ("desim", "reduce", "fs3", "platform"):
 print(f"{len(events)} events, {len(names)} named tracks")
 PY
 
+echo "==> panic ratchet (unwrap()/expect(/panic! in non-test code)"
+# Every one of these is a way for input, a peer or a caller to take the
+# process down instead of getting a typed error, so the count only goes
+# down: each file under crates/*/src above its first #[cfg(test)],
+# perfbench (the benchmark's own directory) excluded. Lower PANIC_BUDGET
+# when a PR removes some; a PR that needs one more has to remove another.
+PANIC_BUDGET=184
+panics=$(find crates/*/src -name '*.rs' -not -path '*/bin/perfbench/*' -print0 |
+    xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
+        !test { n += gsub(/unwrap\(\)|expect\(|panic!/, "&") } END { print n + 0 }' |
+    awk '{ total += $1 } END { print total + 0 }')
+echo "$panics panic sites (budget $PANIC_BUDGET)"
+if [ "$panics" -gt "$PANIC_BUDGET" ]; then
+    echo "panic ratchet: $panics > $PANIC_BUDGET" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
