@@ -1,5 +1,5 @@
-//! Detector-quality sweep: the harness behind the `detector_bench`
-//! binary and its release smoke test.
+//! Detector-quality sweep: the harness behind `BENCH_detector.json`
+//! (written by the `artifacts` main) and its release smoke test.
 //!
 //! The hai-monitor-style detector (ISSUE 9) is imperfect *by design* —
 //! it sees probe sweeps and heartbeat stretch, not ground truth — so
@@ -50,8 +50,8 @@ pub struct DetectorBenchConfig {
 
 impl DetectorBenchConfig {
     /// The committed grid: 3 sensitivities × 3 slowdowns × 4 repeats at
-    /// 16 nodes, 8 simulated minutes per run (cheap enough for the
-    /// `--check` CI gate to re-run in full).
+    /// 16 nodes, 8 simulated minutes per run (cheap enough for
+    /// `detector_smoke` to re-render the committed artifact in full).
     pub fn paper_grid() -> DetectorBenchConfig {
         DetectorBenchConfig {
             seed: 7,

@@ -1,5 +1,6 @@
-//! Monte-Carlo fleet sweeper: the what-if capacity planner behind the
-//! `fleet` binary and its property/smoke suites.
+//! Monte-Carlo fleet sweeper: the what-if capacity planner behind
+//! `BENCH_fleet.json` (written by the `artifacts` main) and its
+//! property/smoke suites.
 //!
 //! The paper reports one year of one cluster — a single sample from the
 //! distribution of "a 1,250-node A100 fleet under our failure rates".
@@ -477,16 +478,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// The sweep digest: FNV-1a 64 over newline-terminated canonical lines.
 pub fn digest(outcomes: &[ScenarioOutcome]) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut text = String::new();
     for o in outcomes {
-        for &b in o.canonical().as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+        text.push_str(&o.canonical());
+        text.push('\n');
     }
-    format!("{h:016x}")
+    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
 /// One `{"mean":…,"p5":…,…}` summary of a metric across cells, computed
@@ -561,15 +558,20 @@ pub fn whatif_rows(outcomes: &[ScenarioOutcome]) -> Vec<WhatIfRow> {
 /// Render the committed aggregate: a deterministic JSON document whose
 /// bytes depend only on `(cfg.seed, cfg.grid, cfg.nodes, cfg.horizon_s)`
 /// — never on worker count or wall-clock. One `rows` line per cell keeps
-/// the artifact diffable.
-pub fn aggregate_json(cfg: &FleetConfig, r: &FleetResult) -> String {
+/// the artifact diffable. `small_grid_digest` is the
+/// [`FleetConfig::small_grid`] sweep's digest, recorded beside the full
+/// aggregate so a test can re-prove the committed artifact without
+/// paying for the full-scale cells.
+pub fn aggregate_json(cfg: &FleetConfig, r: &FleetResult, small_grid_digest: &str) -> String {
     let o = &r.outcomes;
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!(
-        "  \"bench\": \"fleet\",\n  \"schema\": 1,\n  \"seed\": {},\n  \
+        "  \"bench\": \"fleet\",\n  \"small_grid_digest\": \"{}\",\n  \
+         \"schema\": 1,\n  \"seed\": {},\n  \
          \"nodes\": {},\n  \"horizon_s\": {},\n  \"cells\": {},\n  \
          \"digest\": \"{}\",\n",
+        small_grid_digest,
         cfg.seed,
         cfg.nodes,
         cfg.horizon_s,

@@ -3,8 +3,8 @@
 //! One binary per table/figure of the paper (run with
 //! `cargo run -p ff-bench --release --bin <name>`), plus Criterion
 //! microbenchmarks of the executable hot paths. This library holds the
-//! shared report formatting and the artifact helpers of the
-//! `--write/--check` mains.
+//! shared report formatting and the sweeps behind the committed
+//! `BENCH_*.json` artifacts.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -26,14 +26,12 @@
 //! | `ops_recovery` | §VII-A — checkpoint cadence vs lost work |
 //! | `hai_platform` | §VI-C — the HAI scheduler at full cluster scale |
 //! | `serving_bench` | ISSUE 7 — serving tier vs training throughput, p99 under failures |
-//! | `detector_bench` | ISSUE 9 — gray-failure detection latency vs false-positive cost |
-//! | `fabric_bench` | ISSUE 10 — in-mem vs TCP fabric algbw, loopback calibration |
+//! | `artifacts` | `BENCH_fleet.json` (what-if planner) and `BENCH_detector.json` (detection latency vs false-positive cost) |
 //! | `background_figs` | Figures 1–3 — background growth charts |
 
 #![forbid(unsafe_code)]
 
 pub mod detector;
-pub mod fabric;
 pub mod fleet;
 pub mod hai;
 pub mod serving;
@@ -96,31 +94,11 @@ pub fn compare(metric: &str, paper: &str, measured: &str) {
     println!("{metric:<44} paper: {paper:<18} measured: {measured}");
 }
 
-/// Path of a committed artifact (`BENCH_*.json`, `calibration.json`) at
-/// the repository root, where the `--write/--check` mains keep them.
+/// Path of a committed artifact (`BENCH_*.json`) at the repository root,
+/// where the `artifacts` main writes them.
 pub fn artifact_path(name: &str) -> std::path::PathBuf {
     // crates/bench → repo root.
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{name}"))
-}
-
-/// Extract the string following `"key": "` in a committed artifact.
-pub fn json_string(doc: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = doc.find(&pat)? + pat.len();
-    let end = doc[at..].find('"')?;
-    Some(doc[at..at + end].to_string())
-}
-
-/// Extract the number following `"key":` in a flat JSON document whose
-/// keys are unique (which `BENCH_fluid.json` guarantees by construction).
-pub fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -135,16 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn artifact_helpers_read_the_committed_shapes() {
-        let doc = r#"{"digest": "0123456789abcdef", "events_per_sec": 1.5e6, "n": -3}"#;
-        assert_eq!(
-            json_string(doc, "digest").as_deref(),
-            Some("0123456789abcdef")
-        );
-        assert_eq!(json_number(doc, "events_per_sec"), Some(1.5e6));
-        assert_eq!(json_number(doc, "n"), Some(-3.0));
-        assert_eq!(json_string(doc, "missing"), None);
-        assert!(artifact_path("BENCH_fluid.json").exists());
+    fn artifact_path_points_at_the_repo_root() {
+        assert!(artifact_path("BENCH_fleet.json").exists());
     }
 
     #[test]

@@ -53,16 +53,18 @@ fn mono_grid() -> FleetConfig {
 
 #[test]
 fn aggregate_bytes_are_identical_at_1_2_4_workers() {
+    // No small grid stands beside the tiny one; any fixed string will do.
+    let small = "-";
     let cfg1 = tiny_grid(1);
     let r1 = sweep(&cfg1);
-    let j1 = aggregate_json(&cfg1, &r1);
+    let j1 = aggregate_json(&cfg1, &r1, small);
     assert!(j1.contains(&r1.digest), "aggregate embeds its digest");
     for w in [2usize, 4] {
         let cfg = tiny_grid(w);
         let r = sweep(&cfg);
         assert_eq!(r.digest, r1.digest, "digest diverged at {w} workers");
         assert_eq!(
-            aggregate_json(&cfg, &r),
+            aggregate_json(&cfg, &r, small),
             j1,
             "aggregate JSON diverged at {w} workers"
         );

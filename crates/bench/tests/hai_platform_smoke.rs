@@ -1,13 +1,18 @@
 //! Release-mode smoke test for the `hai_platform` replay: the full
 //! 1,250-node cluster must hit the §VI-C ≈99% utilization claim, keep
 //! per-failure lost work within one checkpoint interval (§VII-A), and
-//! produce a byte-identical trace digest for the same seed — the
-//! seed-replay regression oracle.
+//! reproduce its golden trace digest — the seed-replay regression
+//! oracle, held across commits rather than only within one process.
 //!
 //! Runs only under `--release`; the CI job invokes
 //! `cargo test --release -p ff-bench --test hai_platform_smoke`.
 
 use ff_bench::hai::{run, HaiRun};
+
+/// Obs-trace digest of the seed-7, 12-minute, 300× replay below. If a
+/// deliberate scheduler, solver or failure-model change moves it, update
+/// it from a fresh run and say why in CHANGES.md.
+const GOLDEN_DIGEST: &str = "5737f41ec1d1dfd8";
 
 #[test]
 #[cfg_attr(
@@ -49,9 +54,9 @@ fn full_scale_replay_hits_utilization_and_is_deterministic() {
     // come from scheduling, not from lack of demand.
     assert!(a.timeline.iter().all(|s| s.queue_depth > 0));
 
-    // Same seed ⇒ byte-identical observability digest.
-    let b = run(&cfg);
-    assert_eq!(a.digest, b.digest, "same-seed replay diverged");
-    assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
-    assert_eq!(a.lost_work, b.lost_work);
+    // Same seed ⇒ the committed observability digest.
+    assert_eq!(
+        a.digest, GOLDEN_DIGEST,
+        "seed-7 replay moved off its golden"
+    );
 }

@@ -6,19 +6,16 @@
 //! and replay byte-identically for the same seed.
 //!
 //! Runs only under `--release`; the CI job invokes
-//! `cargo test --release -p ff-bench --test serving_smoke`. Budget
-//! well under 120 s.
+//! `cargo test --release -p ff-bench --test serving_smoke`.
 
 use ff_bench::serving::{run, ServeRun};
-use std::time::Instant;
 
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "64-node fluid serve+train replay: run with --release"
 )]
-fn coscheduled_serving_replay_is_within_budget_and_deterministic() {
-    let start = Instant::now();
+fn coscheduled_serving_replay_holds_slo_and_is_deterministic() {
     let base = ServeRun {
         seed: 7,
         horizon_s: 600,
@@ -87,10 +84,4 @@ fn coscheduled_serving_replay_is_within_budget_and_deterministic() {
     });
     assert_eq!(stormy.digest, again.digest, "same-seed replay diverged");
     assert_eq!(stormy.p99_ms.to_bits(), again.p99_ms.to_bits());
-
-    let elapsed = start.elapsed().as_secs_f64();
-    assert!(
-        elapsed < 120.0,
-        "serving smoke took {elapsed:.1} s (budget 120 s)"
-    );
 }

@@ -319,8 +319,8 @@ pub enum SolverMode {
 }
 
 /// Cumulative effort counters of a [`FluidSim`] — the raw material for
-/// `BENCH_fluid.json`'s events/sec trajectory and for tuning the parallel
-/// dispatch threshold.
+/// perfbench's `desim.*` metrics, the solver-mix golden event count and
+/// tuning the parallel dispatch threshold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Structural events applied: flow starts.

@@ -12,11 +12,10 @@
 //! * **large messages** — the round-trip is dominated by moving bytes, so
 //!   `bandwidth ≈ bytes / (RTT/2 − latency)`.
 //!
-//! The resulting [`Calibration`] serializes to the committed
-//! `calibration.json` (see the `fabric_bench` binary) and converts to an
-//! [`ff_hw::LinkParams`] via [`Calibration::link_params`], which is how
-//! the simulator's HFReduce prediction gets checked against a measured
-//! loopback run (EXPERIMENTS.md).
+//! The resulting [`Calibration`] converts to an [`ff_hw::LinkParams`] via
+//! [`Calibration::link_params`], which is how the simulator's HFReduce
+//! prediction gets checked against a measured loopback run (perfbench's
+//! `reduce.fabric.tcp_*` and `reduce.model.loopback_ratio` metrics).
 
 use crate::fabric::{cal_sink, CalibratedFabric, Fabric, FabricProvider, Tag};
 use std::time::{Duration, Instant};
@@ -52,32 +51,6 @@ impl Calibration {
     /// The measured constants as an `ff_hw` link parameterization.
     pub fn link_params(&self) -> ff_hw::LinkParams {
         ff_hw::LinkParams::new(self.bandwidth_gbps * 1e9, self.latency_us * 1e-6)
-    }
-
-    /// Hand-rolled JSON encoding (the repo carries no serializer
-    /// dependency), shaped for the committed `calibration.json`.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"backend\": \"{}\",\n",
-                "  \"rounds\": {},\n",
-                "  \"small_bytes\": {},\n",
-                "  \"large_bytes\": {},\n",
-                "  \"latency_us\": {:.3},\n",
-                "  \"bandwidth_gbps\": {:.3},\n",
-                "  \"meter\": {{ \"sends\": {}, \"bytes\": {} }}\n",
-                "}}"
-            ),
-            self.backend,
-            self.rounds,
-            self.small_bytes,
-            self.large_bytes,
-            self.latency_us,
-            self.bandwidth_gbps,
-            self.meter_sends,
-            self.meter_bytes,
-        )
     }
 }
 
@@ -193,23 +166,5 @@ mod tests {
         let cal = calibrate(&TcpProvider, 8, 1 << 16);
         assert_eq!(cal.backend, "tcp");
         assert!(cal.latency_us > 0.0 && cal.bandwidth_gbps > 0.0, "{cal:?}");
-    }
-
-    #[test]
-    fn calibration_json_is_well_formed() {
-        let cal = Calibration {
-            backend: "inmem".into(),
-            rounds: 32,
-            small_bytes: 8,
-            large_bytes: 1 << 20,
-            latency_us: 1.25,
-            bandwidth_gbps: 4.5,
-            meter_sends: 100,
-            meter_bytes: 12345,
-        };
-        let j = cal.to_json();
-        assert!(j.contains("\"backend\": \"inmem\""));
-        assert!(j.contains("\"latency_us\": 1.250"));
-        assert!(j.contains("\"bytes\": 12345"));
     }
 }

@@ -341,8 +341,8 @@ pub fn hfreduce_analytic_bw(gpus: usize) -> f64 {
 /// allreduce over `n` nodes moves each tree's half-buffer up and down all
 /// `n − 1` edges — `2·(n−1)·bytes` on the wire — in
 /// `2·2·(n−1)·chunks` messages. Predicted algbw is
-/// `bytes / (wire_bytes/β + msgs·α)`; EXPERIMENTS.md compares it against
-/// the measured loopback run recorded by `fabric_bench`.
+/// `bytes / (wire_bytes/β + msgs·α)`; perfbench's
+/// `reduce.model.loopback_ratio` holds it against a measured loopback run.
 pub fn hfreduce_loopback_algbw(
     nodes: usize,
     bytes: f64,

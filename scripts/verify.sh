@@ -13,68 +13,41 @@ cargo test -q --offline --workspace
 
 echo "==> scale smoke (release, 10,000 GPUs)"
 # Paper-scale points are release-only (the debug workspace run ignores
-# them): the 10,000-GPU Fig 7a row must land in the 6-10 GB/s band in
-# under 120 s, and the zone-scale congestion spread must stay tractable —
-# both ride on the incremental solver.
+# them): the 10,000-GPU Fig 7a row must simulate to exactly 7.928 GB/s,
+# inside the paper's 6-10 GB/s band, and the zone-scale congestion spread
+# must keep adaptive routing's straggler.
 cargo test -q --release --offline -p ff-bench --test scale_smoke
 
 echo "==> storage failover smoke (release, fixed seed)"
 # A fixed-seed run kills a 3FS chain member mid-training, checkpoints onto
 # the degraded chain, re-syncs the target back and recovers
 # bit-identically — with byte-identical obs digests across two same-seed
-# runs. Finishes well under 60 s.
+# runs.
 cargo test -q --release --offline -p fireflyer --test storage_failover
 
 echo "==> HAI platform full-scale smoke (release, fixed seed)"
 # The event-driven HAI scheduler replaying the multi-tenant mix on the
 # full 1,250-node cluster: >=95% utilization, per-failure lost work within
-# one checkpoint interval, and a byte-identical trace digest across two
-# same-seed runs. ~30 s.
+# one checkpoint interval, and the golden trace digest.
 cargo test -q --release --offline -p ff-bench --test hai_platform_smoke
 
 echo "==> serving co-schedule smoke (release, fixed seed)"
 # The serving tier co-scheduled with training on a 64-node fluid cluster:
 # every arrival served at >=99% SLO attainment in calm weather, training
 # keeps >=50% of its baseline node-steps, 200x failure rates move p99 but
-# never drop a request, byte-identical same-seed digests. Well under 120 s.
+# never drop a request, byte-identical same-seed digests.
 cargo test -q --release --offline -p ff-bench --test serving_smoke
 
-echo "==> fleet sweep smoke + determinism check (release, vs committed BENCH_fleet.json)"
-# The Monte-Carlo fleet sweeper on its 24-cell CI grid: the sweep digest
-# must equal the golden recorded from a serial run (run here on 2 worker
-# lanes, so thread-count invariance is re-proven every time) and must
-# match the digest embedded in the committed aggregate. Well under 120 s.
-# Regenerate with `fleet --write` when a PR deliberately moves scenario
-# outcomes.
+echo "==> fleet sweep smoke (release, vs committed BENCH_fleet.json)"
+# The fleet sweeper's 24-cell small grid, run on 2 worker lanes, must
+# reproduce the small_grid_digest committed in BENCH_fleet.json, so
+# thread-count invariance and the artifact are re-proven every time.
 cargo test -q --release --offline -p ff-bench --test fleet_smoke
-cargo run -q --release --offline -p ff-bench --bin fleet -- --check
 
-echo "==> gray-failure detector smoke + determinism check (release, vs committed BENCH_detector.json)"
-# The smoke grid's digest must be golden and thread-invariant, and the
-# committed aggregate must match a fresh run of the sensitivity x slowdown
-# paper grid — time-to-detect and false-positive costs are pinned, not
-# approximate. Regenerate with `detector_bench --write` when a PR
-# deliberately moves detection behavior.
+echo "==> gray-failure detector smoke (release, vs committed BENCH_detector.json)"
+# The smoke grid's digest must be golden at 1, 2 and 4 solver threads, and
+# the paper grid must re-render BENCH_detector.json byte for byte.
 cargo test -q --release --offline -p ff-bench --test detector_smoke
-cargo run -q --release --offline -p ff-bench --bin detector_bench -- --check
-
-echo "==> fabric transport smoke + invariance check (release, vs committed BENCH_fabric.json)"
-# A small world of OS threads over real localhost TCP sockets must replay
-# the in-memory fabric's communication schedule byte-for-byte (same trace
-# digest), and the committed BENCH_fabric.json / calibration.json must be
-# structurally sound. Bounded wall-clock; timing rows are
-# machine-dependent and never compared. Regenerate with
-# `fabric_bench --write` when a PR deliberately changes the collectives'
-# communication schedule.
-cargo test -q --release --offline -p ff-bench --test fabric_smoke
-cargo run -q --release --offline -p ff-bench --bin fabric_bench -- --check
-
-echo "==> fluid solver perf smoke (release, vs committed BENCH_fluid.json)"
-# Deterministic pure-solver mix: the structural event count must match
-# the committed baseline bit-for-bit, and events/sec must stay within a
-# 20% regression budget (meaningless in debug, hence release-only).
-# Regenerate with `fluid_bench --write` when a PR moves the solver.
-cargo run -q --release --offline -p ff-bench --bin fluid_bench -- --check
 
 echo "==> trace smoke (release, Perfetto JSON carries every layer's track)"
 # The recovery run's Chrome trace must parse and name at least one track
@@ -97,7 +70,7 @@ echo "==> panic ratchet (unwrap()/expect(/panic! in non-test code)"
 # down: each file under crates/*/src above its first #[cfg(test)],
 # perfbench (the benchmark's own directory) excluded. Lower PANIC_BUDGET
 # when a PR removes some; a PR that needs one more has to remove another.
-PANIC_BUDGET=184
+PANIC_BUDGET=164
 panics=$(find crates/*/src -name '*.rs' -not -path '*/bin/perfbench/*' -print0 |
     xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
         !test { n += gsub(/unwrap\(\)|expect\(|panic!/, "&") } END { print n + 0 }' |

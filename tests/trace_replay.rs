@@ -134,53 +134,101 @@ fn hfreduce_replay_is_stable() {
     assert_eq!(run(), run());
 }
 
-/// One traced dbtree allreduce + one traced HFReduce over the given
-/// fabric backend; the schedule the trace captures must not depend on
-/// the transport.
-fn fabric_trace<P: FabricProvider>(provider: &P) -> (String, String) {
+/// One [`fabric_trace`] shape: a traced dbtree allreduce of `ranks`
+/// buffers of `tree_len` f32, then a traced HFReduce over `nodes` ×
+/// `gpus` buffers of `hf_len` f32, each on its own obs track.
+struct FabricCase {
+    tree_track: &'static str,
+    ranks: usize,
+    tree_len: usize,
+    tree_chunks: usize,
+    hf_track: &'static str,
+    nodes: usize,
+    gpus: usize,
+    hf_len: usize,
+    hf_chunks: usize,
+    /// Digest of the trace captured over the in-memory fabric.
+    golden: &'static str,
+}
+
+/// A small world, and the paper configuration (8-rank dbtree, 4×4
+/// HFReduce, 256 KiB per buffer, 4 chunks).
+const FABRIC_CASES: [FabricCase; 2] = [
+    FabricCase {
+        tree_track: "reduce",
+        ranks: 6,
+        tree_len: 192,
+        tree_chunks: 3,
+        hf_track: "hfreduce",
+        nodes: 3,
+        gpus: 2,
+        hf_len: 96,
+        hf_chunks: 2,
+        golden: "6df5492226edd2c8",
+    },
+    FabricCase {
+        tree_track: "fabric/dbtree",
+        ranks: 8,
+        tree_len: 1 << 16,
+        tree_chunks: 4,
+        hf_track: "fabric/hfreduce",
+        nodes: 4,
+        gpus: 4,
+        hf_len: 1 << 16,
+        hf_chunks: 4,
+        golden: "7733344664e892f8",
+    },
+];
+
+/// The canonical trace and digest of `case` over the given fabric
+/// backend; the schedule the trace captures must not depend on the
+/// transport.
+fn fabric_trace<P: FabricProvider>(provider: &P, case: &FabricCase) -> (String, String) {
     let rec = Recorder::new();
-    let obs = ObsCtx::new(&rec, "reduce", 0);
     run_allreduce(
-        seeded_inputs(7, 6, 192),
-        Algo::DbTree { chunks: 3 },
+        seeded_inputs(7, case.ranks, case.tree_len),
+        Algo::DbTree {
+            chunks: case.tree_chunks,
+        },
         provider,
-        Some(&obs),
+        Some(&ObsCtx::new(&rec, case.tree_track, 0)),
     );
     let mut rng = ChaCha8Rng::seed_from_u64(13);
-    let bufs: Vec<Vec<Vec<f32>>> = (0..3)
+    let bufs: Vec<Vec<Vec<f32>>> = (0..case.nodes)
         .map(|_| {
-            (0..2)
-                .map(|_| (0..96).map(|_| (rng.next_u32() % 29) as f32).collect())
+            (0..case.gpus)
+                .map(|_| {
+                    (0..case.hf_len)
+                        .map(|_| (rng.next_u32() % 29) as f32)
+                        .collect()
+                })
                 .collect()
         })
         .collect();
     run_hfreduce(
         bufs,
-        2,
+        case.hf_chunks,
         provider,
-        Some(&ObsCtx::new(&rec, "hfreduce", 1_000_000_000)),
+        Some(&ObsCtx::new(&rec, case.hf_track, 1_000_000_000)),
     );
     (rec.canonical(), rec.digest())
 }
 
-/// Digest of [`fabric_trace`] captured over the in-memory fabric. Real
-/// TCP sockets must replay the identical communication schedule: the
-/// trace is a property of the algorithm, not of the wires under it.
-const FABRIC_GOLDEN_DIGEST: &str = "6df5492226edd2c8";
-
+/// Real TCP sockets must replay the in-memory fabric's communication
+/// schedule byte for byte: the trace is a property of the algorithm, not
+/// of the wires under it.
 #[test]
 fn collective_trace_is_transport_invariant() {
-    let (canon_mem, dig_mem) = fabric_trace(&InMemProvider);
-    let (canon_tcp, dig_tcp) = fabric_trace(&TcpProvider);
-    assert_eq!(
-        canon_mem, canon_tcp,
-        "in-mem and TCP fabrics must trace byte-identically"
-    );
-    assert_eq!(
-        dig_mem, FABRIC_GOLDEN_DIGEST,
-        "schedule drifted from golden"
-    );
-    assert_eq!(dig_tcp, FABRIC_GOLDEN_DIGEST);
+    for case in &FABRIC_CASES {
+        let (canon_mem, dig_mem) = fabric_trace(&InMemProvider, case);
+        let (canon_tcp, dig_tcp) = fabric_trace(&TcpProvider, case);
+        assert_eq!(
+            canon_mem, canon_tcp,
+            "in-mem and TCP fabrics must trace byte-identically"
+        );
+        assert_eq!(dig_mem, case.golden, "schedule drifted from golden");
+        assert_eq!(dig_tcp, case.golden);
+    }
 }
 
 /// Transport invariance extends to `PHASE_RING`: the reduce-scatter +
