@@ -531,6 +531,10 @@ struct Task {
     ckpt_bytes: f64,
     state: TaskState,
     assigned: Vec<usize>,
+    /// Fluid mode: the ring routes of one allreduce step over `assigned`.
+    /// Routing is static, so they are built at placement and dropped at
+    /// release together with the nodes; every step starts them as-is.
+    step_routes: Vec<Route>,
     cross_zone: bool,
     /// Committed completed work. In declared mode this is only updated at
     /// scheduling events; [`Platform::progress`] adds the elapsed run time.
@@ -721,6 +725,7 @@ impl Platform {
                 ckpt_bytes: spec.ckpt_bytes,
                 state: TaskState::Queued,
                 assigned: Vec::new(),
+                step_routes: Vec::new(),
                 cross_zone: false,
                 progress: 0,
                 ckpt: 0,
@@ -1495,16 +1500,11 @@ impl Platform {
     }
 
     fn start_step(&mut self, eng: &mut FluidEngine, id: TaskId) {
-        let (assigned, step_bytes) = {
-            let t = &self.tasks[&id];
-            (t.assigned.clone(), t.step_bytes)
-        };
-        let routes = jobflow::step_routes(&eng.cluster, &assigned);
-        let work = jobflow::ring_edge_bytes(assigned.len(), step_bytes).max(1.0);
         let t = self.tasks.get_mut(&id).expect("task exists");
+        let work = jobflow::ring_edge_bytes(t.assigned.len(), t.step_bytes).max(1.0);
         t.phase = Phase::Step;
         t.step_started = self.now;
-        for route in &routes {
+        for route in &t.step_routes {
             let f = eng.cluster.fluid.start_flow(work, route);
             eng.flow_owner.insert(f, Owner::Train(id));
             t.flows.push(f);
@@ -1660,6 +1660,7 @@ impl Platform {
     fn release(&mut self, id: TaskId, new_state: TaskState) {
         let t = self.tasks.get_mut(&id).expect("task exists");
         let assigned = std::mem::take(&mut t.assigned);
+        t.step_routes = Vec::new();
         let (name, placed_at, progress) = (t.name.clone(), t.placed_at, t.progress);
         t.cross_zone = false;
         t.state = new_state;
@@ -1834,10 +1835,9 @@ impl Platform {
         let Some((nodes, cross)) = pick else {
             return false;
         };
-        let stretch = if self.engine.is_none() {
-            self.assigned_stretch(&nodes)
-        } else {
-            1.0
+        let (stretch, step_routes) = match &self.engine {
+            None => (self.assigned_stretch(&nodes), Vec::new()),
+            Some(eng) => (1.0, jobflow::step_routes(&eng.cluster, &nodes)),
         };
         for &n in &nodes {
             self.nodes[n].running = Some(Owner::Train(id));
@@ -1848,6 +1848,7 @@ impl Platform {
         }
         let t = self.tasks.get_mut(&id).expect("task exists");
         t.assigned = nodes;
+        t.step_routes = step_routes;
         t.cross_zone = cross;
         t.state = TaskState::Running;
         t.placed_at = self.now;
@@ -2323,6 +2324,89 @@ mod tests {
             p.run_for(dt);
         }
         panic!("condition not reached within {max_iters} polls");
+    }
+
+    /// Live flows on compute node `node`'s NIC, both directions.
+    fn nic_flows(p: &Platform, node: usize) -> usize {
+        let eng = p.engine.as_ref().expect("fluid platform");
+        let hw = &eng.cluster.hw[node];
+        let up = hw.ib_send(0).0.last().expect("IB route has hops").0;
+        let down = hw.ib_recv(0).0.first().expect("IB route has hops").0;
+        eng.cluster.fluid.flows_through(up) + eng.cluster.fluid.flows_through(down)
+    }
+
+    /// Live flows owned by `owner`.
+    fn owned_flows(p: &Platform, owner: Owner) -> usize {
+        let eng = p.engine.as_ref().expect("fluid platform");
+        eng.flow_owner.values().filter(|&&o| o == owner).count()
+    }
+
+    /// Routes belong to a placement: a task re-placed after a node
+    /// failure runs its steps on rings over its new nodes only.
+    #[test]
+    fn a_re_placed_task_gets_new_routes() {
+        let ms = SimDuration::from_millis(1);
+        let mut p = fluid(6, 2, 5);
+        let t = p
+            .submit(
+                JobSpec::new("train", 3, 400)
+                    .step_bytes(6.4e7)
+                    .ckpt_bytes(2.56e8),
+            )
+            .unwrap();
+        let in_step = |p: &Platform| p.tasks[&t].phase == Phase::Step;
+        run_till(&mut p, ms, 1_000_000, |p| {
+            p.progress(t).unwrap() >= 2 && in_step(p)
+        });
+        let failed = p.assignment(t).unwrap()[0];
+        assert!(nic_flows(&p, failed) > 0, "the ring crosses every member");
+        p.fail_node(failed);
+        // Four compute nodes: the spare one takes the failed one's place.
+        assert_eq!(p.state(t), Some(TaskState::Running));
+        let nodes = p.assignment(t).unwrap().to_vec();
+        assert_eq!(nodes.len(), 3);
+        assert!(!nodes.contains(&failed));
+        run_till(&mut p, ms, 1_000_000, in_step);
+        assert_eq!(p.tasks[&t].step_routes.len(), nodes.len());
+        assert_eq!(owned_flows(&p, Owner::Train(t)), nodes.len());
+        assert_eq!(nic_flows(&p, failed), 0, "no flow crosses the failed node");
+    }
+
+    /// The same for a serving replica moved by a node failure.
+    #[test]
+    fn a_moved_serving_replica_gets_new_routes() {
+        use crate::serving::ServingSpec;
+        use ff_util::scengen::{ArrivalTrace, Request};
+        let ms = SimDuration::from_millis(1);
+        let mut p = fluid(6, 2, 5);
+        let requests = (0..200)
+            .map(|id| Request {
+                id,
+                at_ns: id * 50_000_000,
+                prompt_tokens: 64,
+                output_tokens: 64,
+            })
+            .collect();
+        let trace = ArrivalTrace {
+            seed: 0,
+            duration_ns: 10_000_000_000,
+            requests,
+        };
+        let sid = p
+            .submit_serving(ServingSpec::new("svc", 1, 2, trace))
+            .unwrap();
+        let owner = Owner::Serve(sid, 0);
+        let on_network = |p: &Platform| owned_flows(p, owner) > 0;
+        run_till(&mut p, ms, 100_000, on_network);
+        let failed = p.serving_assignment(sid, 0).unwrap()[0];
+        assert!(nic_flows(&p, failed) > 0, "the ring crosses every member");
+        p.fail_node(failed);
+        let nodes = p.serving_assignment(sid, 0).unwrap().to_vec();
+        assert_eq!(nodes.len(), 2, "the replica is placed again at once");
+        assert!(!nodes.contains(&failed));
+        run_till(&mut p, ms, 100_000, on_network);
+        assert_eq!(owned_flows(&p, owner), nodes.len());
+        assert_eq!(nic_flows(&p, failed), 0, "no flow crosses the failed node");
     }
 
     #[test]

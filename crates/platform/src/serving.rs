@@ -23,9 +23,9 @@
 //! batch)` — declared mode stops there, making a serving job O(events),
 //! while fluid mode follows each segment's compute with the
 //! tensor-parallel activation allreduce as real flows on the bandwidth
-//! model (`ff_reduce::jobflow::decode_routes`), so serving latency
-//! stretches under contention with training allreduce, checkpoint traffic
-//! and degraded links.
+//! model (the replica's `ff_reduce::jobflow::step_routes` ring, built
+//! once per placement), so serving latency stretches under contention
+//! with training allreduce, checkpoint traffic and degraded links.
 //!
 //! **SLO model.** Per-request latency is measured arrival → last token,
 //! open-loop (arrivals never throttle). A request meets its SLO iff
@@ -37,7 +37,7 @@
 //! bench measures.
 
 use crate::scheduler::{Ev, FluidEngine, Owner, Platform, SubmitError};
-use ff_desim::{FlowId, SimTime};
+use ff_desim::{FlowId, Route, SimTime};
 use ff_reduce::jobflow;
 use ff_util::scengen::{ArrivalTrace, Request};
 use std::collections::VecDeque;
@@ -207,6 +207,9 @@ struct InFlight {
 #[derive(Debug, Default)]
 struct Replica {
     nodes: Vec<usize>,
+    /// Fluid mode: the tensor-parallel allreduce ring over `nodes`, built
+    /// at placement and dropped with the nodes (routing is static).
+    step_routes: Vec<Route>,
     running: bool,
     /// Bumped on every placement/teardown; stale segment timers are
     /// dropped.
@@ -406,6 +409,7 @@ impl Platform {
                 if r.running {
                     r.running = false;
                     freed.extend(std::mem::take(&mut r.nodes));
+                    r.step_routes = Vec::new();
                 }
             }
             for &n in &freed {
@@ -515,9 +519,14 @@ impl Platform {
             self.nodes[n].running = Some(Owner::Serve(sid, rep as u32));
         }
         self.busy_nodes += nodes.len();
+        let step_routes = self
+            .engine
+            .as_ref()
+            .map_or_else(Vec::new, |eng| jobflow::step_routes(&eng.cluster, &nodes));
         let job = self.serving.get_mut(&sid).expect("placing known job");
         let r = &mut job.replicas[rep];
         r.nodes = nodes;
+        r.step_routes = step_routes;
         r.running = true;
         r.epoch += 1;
         let waiting: Vec<Waiting> = job.pending.drain(..).collect();
@@ -588,6 +597,7 @@ impl Platform {
             }
             r.flows.clear();
             let nodes = std::mem::take(&mut r.nodes);
+            r.step_routes = Vec::new();
             // Partial decode progress is lost: displaced requests restart
             // from their prompt on whichever replica picks them up.
             let mut displaced: Vec<Waiting> = r
@@ -715,9 +725,8 @@ impl Platform {
                 let r = &mut job.replicas[rep as usize];
                 let tokens = r.batch.len() as u64 * r.seg_iters as u64 + r.seg_prompt;
                 let work = jobflow::ring_edge_bytes(r.nodes.len(), tp * tokens as f64).max(1.0);
-                let routes = jobflow::decode_routes(&eng.cluster, &r.nodes);
                 r.net_pending = true;
-                for route in &routes {
+                for route in &r.step_routes {
                     let f = eng.cluster.fluid.start_flow(work, route);
                     eng.flow_owner.insert(f, Owner::Serve(sid, rep));
                     r.flows.push(f);
