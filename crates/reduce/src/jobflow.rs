@@ -130,8 +130,15 @@ mod tests {
         for r in &routes {
             assert!(!r.0.is_empty(), "ring edge routes traverse resources");
         }
-        // A 2-node ring (the smallest serving replica) has both directions.
+    }
+
+    /// A serving replica decodes over its `step_routes`: a 2-node replica
+    /// (the smallest) rings both directions, a 1-node one stays local.
+    #[test]
+    fn decode_routes_mirror_step_ring() {
+        let c = ClusterModel::build(&ClusterConfig::fire_flyer(4));
         assert_eq!(step_routes(&c, &[0, 1]).len(), 2);
+        assert_eq!(step_routes(&c, &[3]).len(), 1, "single node stays local");
         // Batch of 4 decoding one token each + 100 prompt tokens prefilled,
         // on a 2-node replica: payload moves once (2(n−1)/n = 1).
         assert!((decode_edge_bytes(2, 10.0, 4, 100) - 1040.0).abs() < 1e-9);
