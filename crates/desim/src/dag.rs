@@ -154,13 +154,30 @@ impl DagSim {
             self.start_node(id);
         }
         loop {
-            let next_delay = self.delays.peek_time();
-            let next_flow = self.fluid.next_completion_time();
-            match (next_delay, next_flow) {
-                (None, None) => break,
-                (Some(td), Some(tf)) if td <= tf => self.fire_delay(),
-                (Some(_), None) => self.fire_delay(),
-                (_, Some(_)) => self.fire_flows(),
+            // Fire everything due now — gates, zero-work transfers, elapsed
+            // delays, and whatever they cascade into — before asking the
+            // fluid anything: the clock cannot move while they are pending,
+            // so every flow started at this instant joins one solve.
+            let now = self.fluid.now();
+            while let Some((_, id)) = self.delays.pop_due(now) {
+                self.complete_node(id, now);
+            }
+            // A delay due no later than the next completion fires first,
+            // as does any delay when no flow is running.
+            let horizon = self.fluid.next_completion_time().unwrap_or(SimTime::MAX);
+            if let Some((t, id)) = self.delays.pop_due(horizon) {
+                self.fluid.advance_to(t);
+                self.complete_node(id, t);
+            } else if let Some((t, done)) = self.fluid.advance_to_next_completion() {
+                // A flow with no node leaves nothing to complete; the
+                // deadlock check below still reports its node unfinished.
+                for fid in done {
+                    if let Some(id) = self.flow_to_node.remove(&fid) {
+                        self.complete_node(id, t);
+                    }
+                }
+            } else {
+                break;
             }
         }
         let unfinished: Vec<&str> = self
@@ -182,36 +199,14 @@ impl DagSim {
             .unwrap_or(SimTime::ZERO)
     }
 
-    fn fire_delay(&mut self) {
-        let (t, id) = self.delays.pop().expect("delay peeked");
-        self.fluid.advance_to(t);
-        self.complete_node(id, t);
-    }
-
-    fn fire_flows(&mut self) {
-        let (t, done) = self
-            .fluid
-            .advance_to_next_completion()
-            .expect("flow completion peeked");
-        for fid in done {
-            let node = self
-                .flow_to_node
-                .remove(&fid)
-                .expect("flow belongs to a node");
-            self.complete_node(node, t);
-        }
-    }
-
     fn start_node(&mut self, id: NodeId) {
         let now = self.fluid.now();
-        {
-            let n = &mut self.nodes[id.0];
-            debug_assert_eq!(n.state, State::Waiting);
-            n.state = State::Running;
-            n.start = Some(now);
-        }
-        let work = self.nodes[id.0].work.clone();
-        match work {
+        let n = &mut self.nodes[id.0];
+        debug_assert_eq!(n.state, State::Waiting);
+        n.state = State::Running;
+        n.start = Some(now);
+        // A node starts once, so its work moves out rather than cloning.
+        match std::mem::replace(&mut n.work, Work::Gate) {
             Work::Transfer { work, route } if work > 0.0 => {
                 let fid = self.fluid.start_flow(work, &route);
                 self.flow_to_node.insert(fid, id);
@@ -483,6 +478,45 @@ mod tests {
         let mut fluid = dag.into_fluid();
         // Link busy for 1s out of 3s total.
         assert!((fluid.stats(link).utilization() - 1.0 / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn one_solve_per_distinct_instant() {
+        // One completion fans out into 100 gates, each starting a transfer
+        // on a shared link: the 100 starts share one instant, so they
+        // share one solve, and each later completion instant costs one.
+        let mut fluid = FluidSim::new();
+        let link = fluid.add_resource("link", 1e9);
+        let mut dag = DagSim::new(fluid);
+        let root = dag.add(
+            Work::Transfer {
+                work: 1e6,
+                route: Route::unit([link]),
+            },
+            &[],
+        );
+        let xfers: Vec<NodeId> = (1..=100)
+            .map(|i| {
+                let gate = dag.add(Work::Gate, &[root]);
+                dag.add(
+                    Work::Transfer {
+                        work: 1e6 * i as f64,
+                        route: Route::unit([link]),
+                    },
+                    &[gate],
+                )
+            })
+            .collect();
+        dag.run();
+        let mut instants: Vec<SimTime> = std::iter::once(root)
+            .chain(xfers.iter().copied())
+            .flat_map(|id| [dag.start_time(id).unwrap(), dag.finish_time(id).unwrap()])
+            .collect();
+        instants.sort_unstable();
+        instants.dedup();
+        assert_eq!(instants.len(), 102);
+        let recomputes = dag.fluid().solver_stats().recomputes;
+        assert_eq!(recomputes, instants.len() as u64);
     }
 
     #[test]

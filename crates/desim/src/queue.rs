@@ -86,6 +86,14 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
+    /// Pop the earliest event if it is due at or before `t`.
+    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? > t {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -163,5 +171,21 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn pop_due_stops_at_the_horizon() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(2), "b");
+        assert_eq!(q.pop_due(SimTime::ZERO), None);
+        assert_eq!(
+            q.pop_due(SimTime::from_secs(1)),
+            Some((SimTime::from_secs(1), "a"))
+        );
+        assert_eq!(q.pop_due(SimTime::from_secs(1)), None);
+        assert_eq!(q.now(), SimTime::from_secs(1));
+        assert_eq!(q.pop_due(SimTime::MAX), Some((SimTime::from_secs(2), "b")));
+        assert_eq!(q.pop_due(SimTime::MAX), None);
     }
 }

@@ -170,3 +170,89 @@ fn delays_and_gates() {
         assert_eq!(dag.finish_time(gate).expect("gate ran"), makespan);
     }
 }
+
+/// A random gate-heavy DAG: every layer mixes shared-link transfers with
+/// gates, zero-length delays, zero-work transfers and short delays, and
+/// each node depends on a random subset of the previous layer, so gate
+/// cascades, same-instant flow starts and equal-timestamp completions
+/// are all common.
+fn gate_heavy_dag(rng: &mut ChaCha8Rng) -> (DagSim, Vec<DagNodeId>) {
+    let mut fluid = FluidSim::new();
+    let res: Vec<_> = (0..rng.gen_range(1usize..4))
+        .map(|i| fluid.add_resource(format!("r{i}"), rng.gen_range(10.0f64..1000.0)))
+        .collect();
+    let mut dag = DagSim::new(fluid);
+    let mut all = Vec::new();
+    let mut prev: Vec<DagNodeId> = Vec::new();
+    for _ in 0..rng.gen_range(2usize..8) {
+        let row: Vec<DagNodeId> = (0..rng.gen_range(1usize..12))
+            .map(|_| {
+                let mask = rng.next_u32();
+                let deps: Vec<DagNodeId> = prev
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| mask & (1 << (j % 32)) != 0)
+                    .map(|(_, &id)| id)
+                    .collect();
+                let work = match rng.gen_range(0u32..6) {
+                    0 | 1 => Work::Transfer {
+                        work: rng.gen_range(1.0f64..100.0),
+                        route: Route::unit([res[rng.gen_range(0..res.len())]]),
+                    },
+                    2 => Work::Gate,
+                    3 => Work::Delay(SimDuration::ZERO),
+                    4 => Work::Transfer {
+                        work: 0.0,
+                        route: Route::unit([res[0]]),
+                    },
+                    _ => Work::Delay(SimDuration::from_millis(rng.gen_range(1u64..50))),
+                };
+                dag.add(work, &deps)
+            })
+            .collect();
+        all.extend_from_slice(&row);
+        prev = row;
+    }
+    (dag, all)
+}
+
+/// FNV-1a over little-endian words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Golden timelines: every node's (start, finish) nanoseconds over the
+/// seeded layered DAGs and gate-heavy DAGs, folded into one digest. It
+/// moves only if some node's timing does; how often the solver runs
+/// between events must not move it.
+#[test]
+fn timeline_digest_is_golden() {
+    let mut words = Vec::new();
+    let mut push = |dag: &DagSim, ids: &[DagNodeId]| {
+        for &id in ids {
+            words.push(dag.start_time(id).expect("ran").0);
+            words.push(dag.finish_time(id).expect("finished").0);
+        }
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0xDA65);
+    for _ in 0..CASES {
+        let d = layered_dag(&mut rng);
+        let (mut dag, ids) = build(&d);
+        dag.run();
+        push(&dag, &ids.concat());
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(0xDA66);
+    for _ in 0..CASES {
+        let (mut dag, ids) = gate_heavy_dag(&mut rng);
+        dag.run();
+        push(&dag, &ids);
+    }
+    assert_eq!(format!("{:016x}", fnv1a(words)), "709bcbaec8317169");
+}

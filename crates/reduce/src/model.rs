@@ -9,7 +9,7 @@
 //! overlaps stage *k−1* of chunk *c+1*, exactly as Algorithm 1 describes.
 
 use crate::cluster::ClusterModel;
-use ff_desim::{DagNodeId, DagSim, Work};
+use ff_desim::{DagNodeId, DagSim, Route, Work};
 use ff_hw::TransferMethod;
 use ff_net::ServiceLevel;
 use ff_topo::dbtree::{DoubleBinaryTree, Tree};
@@ -81,6 +81,13 @@ pub fn hfreduce_time(
     let rank_to_node = leaf_grouped_order(cluster);
     let chunks = opts.chunks.max(1);
     let chunk_bytes = bytes / chunks as f64;
+
+    // Each tree edge's RDMA route, up and down, is the same for every
+    // chunk: build it once.
+    let tree_routes = [
+        TreeRoutes::build(cluster, &dt.a, &rank_to_node),
+        TreeRoutes::build(cluster, &dt.b, &rank_to_node),
+    ];
 
     // Per-stage "previous chunk" chains, for pipelining order.
     let g_per = cluster.hw[0].gpus();
@@ -170,12 +177,11 @@ pub fn hfreduce_time(
             for (ti, tree) in [&dt.a, &dt.b].into_iter().enumerate() {
                 let half = chunk_bytes / 2.0;
                 let (root_gate, downs) = build_tree_pass(
-                    cluster,
                     &mut dag,
                     tree,
+                    &tree_routes[ti],
                     half,
                     &reduce_done,
-                    &rank_to_node,
                     &mut prev_up[ti],
                     &mut prev_down[ti],
                 );
@@ -253,6 +259,8 @@ pub fn hfreduce_time(
         }
     }
 
+    // Every node holds its own copy; free these before the run's peak.
+    drop(tree_routes);
     let makespan = dag.run();
     cluster.fluid = dag.into_fluid();
     let seconds = makespan.as_secs_f64();
@@ -372,17 +380,46 @@ pub fn leaf_grouped_order(cluster: &ClusterModel) -> Vec<usize> {
     order
 }
 
+/// One tree's RDMA edge routes, indexed by tree rank: `up[v]` carries
+/// rank `v`'s partial sum to its parent (reduce-add at the receiver) and
+/// `down[v]` the broadcast from its parent (plain write). Both are `None`
+/// for the root.
+struct TreeRoutes {
+    up: Vec<Option<Route>>,
+    down: Vec<Option<Route>>,
+}
+
+impl TreeRoutes {
+    fn build(cluster: &ClusterModel, tree: &Tree, rank_to_node: &[usize]) -> Self {
+        let edges = |reduce_at_dst: bool| {
+            (0..tree.len())
+                .map(|v| {
+                    let parent = rank_to_node[tree.parent[v]?];
+                    let (src, dst) = if reduce_at_dst {
+                        (rank_to_node[v], parent)
+                    } else {
+                        (parent, rank_to_node[v])
+                    };
+                    Some(cluster.rdma_edge(src, dst, ServiceLevel::HfReduce, reduce_at_dst))
+                })
+                .collect()
+        };
+        TreeRoutes {
+            up: edges(true),
+            down: edges(false),
+        }
+    }
+}
+
 /// Build one tree's reduce-up + broadcast-down for one chunk. Returns the
 /// root-ready gate and, per node, the broadcast-arrival node (None for the
 /// root itself).
-#[allow(clippy::too_many_arguments)] // one call site; the args are the pass's state
 fn build_tree_pass(
-    cluster: &ClusterModel,
     dag: &mut DagSim,
     tree: &Tree,
+    routes: &TreeRoutes,
     half_bytes: f64,
     reduce_done: &[DagNodeId],
-    rank_to_node: &[usize],
     prev_up: &mut [Option<DagNodeId>],
     prev_down: &mut [Option<DagNodeId>],
 ) -> (DagNodeId, Vec<Option<DagNodeId>>) {
@@ -390,7 +427,7 @@ fn build_tree_pass(
     // Reduce-up in post-order so children's up-edges exist before parents'.
     let mut up_edge: Vec<Option<DagNodeId>> = vec![None; n];
     for v in tree.post_order() {
-        let Some(parent) = tree.parent[v] else {
+        let Some(route) = &routes.up[v] else {
             continue; // root sends nothing up
         };
         let mut deps = vec![reduce_done[v]];
@@ -400,16 +437,10 @@ fn build_tree_pass(
         if let Some(p) = prev_up[v] {
             deps.push(p);
         }
-        let route = cluster.rdma_edge(
-            rank_to_node[v],
-            rank_to_node[parent],
-            ServiceLevel::HfReduce,
-            true,
-        );
         let id = dag.add(
             Work::Transfer {
                 work: half_bytes,
-                route,
+                route: route.clone(),
             },
             &deps,
         );
@@ -428,7 +459,7 @@ fn build_tree_pass(
     let order = tree.post_order();
     let mut down_edge: Vec<Option<DagNodeId>> = vec![None; n];
     for &v in order.iter().rev() {
-        let Some(parent) = tree.parent[v] else {
+        let (Some(parent), Some(route)) = (tree.parent[v], &routes.down[v]) else {
             continue;
         };
         let mut deps = vec![match tree.parent[parent] {
@@ -438,16 +469,10 @@ fn build_tree_pass(
         if let Some(p) = prev_down[v] {
             deps.push(p);
         }
-        let route = cluster.rdma_edge(
-            rank_to_node[parent],
-            rank_to_node[v],
-            ServiceLevel::HfReduce,
-            false,
-        );
         let id = dag.add(
             Work::Transfer {
                 work: half_bytes,
-                route,
+                route: route.clone(),
             },
             &deps,
         );

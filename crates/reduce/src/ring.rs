@@ -15,7 +15,7 @@
 //! schedule (used to validate the analytic model at small scale).
 
 use crate::cluster::ClusterModel;
-use ff_desim::{DagNodeId, DagSim, SimDuration, Work};
+use ff_desim::{DagNodeId, DagSim, Route, SimDuration, Work};
 use ff_hw::spec::{GPUS_PER_NODE, PCIE4_X16_BPS, ROME_P2P_BPS};
 use ff_net::ServiceLevel;
 
@@ -57,21 +57,26 @@ pub fn ring_simulate(cluster: &mut ClusterModel, bytes: f64) -> f64 {
     // Ring order: node-major, GPUs in index order.
     let node_of = |rank: usize| rank / g_per;
     let gpu_of = |rank: usize| rank % g_per;
-    let steps = 2 * (n - 1);
-    let mut prev_step: Vec<Option<DagNodeId>> = vec![None; n];
-    for _s in 0..steps {
-        let mut this_step: Vec<Option<DagNodeId>> = vec![None; n];
-        for r in 0..n {
+    // Rank r always sends to rank r+1, so each hop's route is built once.
+    let routes: Vec<Route> = (0..n)
+        .map(|r| {
             let dst = (r + 1) % n;
             let (nu, nv) = (node_of(r), node_of(dst));
-            let route = if nu == nv {
+            if nu == nv {
                 cluster.hw[nu].gpu_p2p(gpu_of(r), gpu_of(dst))
             } else {
                 let up = cluster.hw[nu].gpu_nic_send(gpu_of(r), 0);
                 let net = cluster.net_route(nu, nv, ServiceLevel::Nccl);
                 let down = cluster.hw[nv].nic_gpu_recv(0, gpu_of(dst));
                 up.join(net).join(down)
-            };
+            }
+        })
+        .collect();
+    let steps = 2 * (n - 1);
+    let mut prev_step: Vec<Option<DagNodeId>> = vec![None; n];
+    for _s in 0..steps {
+        let mut this_step: Vec<Option<DagNodeId>> = vec![None; n];
+        for (r, route) in routes.iter().enumerate() {
             // Rank r's send at step s needs: its own previous send done
             // (serialized NIC/kernel) and the data it received at step s-1
             // from rank r-1.
@@ -87,7 +92,13 @@ pub fn ring_simulate(cluster: &mut ClusterModel, bytes: f64) -> f64 {
                 Work::Delay(SimDuration::from_secs_f64(RING_STEP_OVERHEAD_S)),
                 &deps,
             );
-            let id = dag.add(Work::Transfer { work: chunk, route }, &[gate]);
+            let id = dag.add(
+                Work::Transfer {
+                    work: chunk,
+                    route: route.clone(),
+                },
+                &[gate],
+            );
             this_step[r] = Some(id);
         }
         prev_step = this_step;
