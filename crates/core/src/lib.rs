@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod deployment;
-pub mod experiments;
 pub mod ops;
 
 pub use deployment::FireFlyer2;

@@ -511,6 +511,22 @@ pub(crate) enum Owner {
     Serve(crate::serving::ServingId, u32),
 }
 
+/// The nodes one owner holds, with the traffic that runs on them: a
+/// training task and a serving replica each hold one. Only
+/// [`Platform::occupy`] makes one and only [`Platform::vacate`] ends one,
+/// so node slots, `busy_nodes` and the flow ledger change together.
+#[derive(Debug, Default)]
+pub(crate) struct Placement {
+    pub(crate) nodes: Vec<usize>,
+    /// Fluid mode: the ring routes of one allreduce over `nodes`. Routing
+    /// is static, so they are built once per placement and every step or
+    /// decode segment starts them as-is.
+    pub(crate) routes: Vec<Route>,
+    /// Fluid mode: the owner's live flows, mirrored in the engine's
+    /// flow → owner map.
+    pub(crate) flows: Vec<FlowId>,
+}
+
 /// What a fluid-mode task is currently doing on the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -520,7 +536,7 @@ enum Phase {
     Ckpt,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Task {
     name: String,
     need: usize,
@@ -530,11 +546,8 @@ struct Task {
     step_bytes: f64,
     ckpt_bytes: f64,
     state: TaskState,
-    assigned: Vec<usize>,
-    /// Fluid mode: the ring routes of one allreduce step over `assigned`.
-    /// Routing is static, so they are built at placement and dropped at
-    /// release together with the nodes; every step starts them as-is.
-    step_routes: Vec<Route>,
+    /// Empty unless the task runs (or is interrupting).
+    placement: Placement,
     cross_zone: bool,
     /// Committed completed work. In declared mode this is only updated at
     /// scheduling events; [`Platform::progress`] adds the elapsed run time.
@@ -552,7 +565,6 @@ struct Task {
     /// epoch and are dropped.
     epoch: u64,
     phase: Phase,
-    flows: Vec<FlowId>,
     /// Durable checkpoint records written so far (fluid mode); the latest
     /// lives at chunk index `ckpt_seq - 1`.
     ckpt_seq: u64,
@@ -560,7 +572,7 @@ struct Task {
     /// interruption-signal protocol's hand-off).
     pending: Option<TaskState>,
     /// Declared-mode wall-clock stretch from gray compute degradation on
-    /// the task's assigned nodes: each work unit takes `stretch` seconds
+    /// the task's nodes: each work unit takes `stretch` seconds
     /// (1.0 = nominal, the fast integer-arithmetic path).
     stretch: f64,
     /// When the in-flight training step started (fluid mode) — the
@@ -628,7 +640,10 @@ struct GrayState {
 }
 
 /// Fluid-mode machinery: the bandwidth model, the storage pool and the
-/// flow → owner ownership map.
+/// flow → owner ownership map. Only [`FluidEngine::start`],
+/// [`FluidEngine::cancel`] and [`FluidEngine::completed`] start, cancel
+/// or retire an owned flow, so the map always names exactly the flows of
+/// live placements.
 pub(crate) struct FluidEngine {
     pub(crate) cluster: ClusterModel,
     /// Absolute node indices (in the cluster model) serving storage.
@@ -637,10 +652,45 @@ pub(crate) struct FluidEngine {
     chains: Vec<Arc<Chain>>,
     /// Per storage-pool index: the (chain, target) replicas it hosts.
     host_targets: Vec<Vec<(usize, Arc<StorageTarget>)>>,
-    pub(crate) flow_owner: BTreeMap<FlowId, Owner>,
+    flow_owner: BTreeMap<FlowId, Owner>,
 }
 
 impl FluidEngine {
+    /// Start `work` bytes on every route for `owner`, appending the new
+    /// flows to `flows`.
+    pub(crate) fn start(
+        &mut self,
+        owner: Owner,
+        work: f64,
+        routes: &[Route],
+        flows: &mut Vec<FlowId>,
+    ) {
+        for route in routes {
+            let f = self.cluster.fluid.start_flow(work, route);
+            self.flow_owner.insert(f, owner);
+            flows.push(f);
+        }
+    }
+
+    /// Cancel and forget every flow in `flows`.
+    fn cancel(&mut self, flows: &mut Vec<FlowId>) {
+        for f in flows.drain(..) {
+            self.flow_owner.remove(&f);
+            self.cluster.fluid.cancel_flow(f);
+        }
+    }
+
+    /// Retire finished flows, grouped by owner.
+    fn completed(&mut self, done: Vec<FlowId>) -> BTreeMap<Owner, Vec<FlowId>> {
+        let mut by_owner: BTreeMap<Owner, Vec<FlowId>> = BTreeMap::new();
+        for f in done {
+            if let Some(o) = self.flow_owner.remove(&f) {
+                by_owner.entry(o).or_default().push(f);
+            }
+        }
+        by_owner
+    }
+
     fn alive_storage(&self) -> Vec<usize> {
         self.storage_hosts
             .iter()
@@ -724,8 +774,7 @@ impl Platform {
                 step_bytes: spec.step_bytes,
                 ckpt_bytes: spec.ckpt_bytes,
                 state: TaskState::Queued,
-                assigned: Vec::new(),
-                step_routes: Vec::new(),
+                placement: Placement::default(),
                 cross_zone: false,
                 progress: 0,
                 ckpt: 0,
@@ -734,7 +783,6 @@ impl Platform {
                 placed_at: self.now,
                 epoch: 0,
                 phase: Phase::Idle,
-                flows: Vec::new(),
                 ckpt_seq: 0,
                 pending: None,
                 stretch: 1.0,
@@ -775,8 +823,9 @@ impl Platform {
                     self.advance_to(n);
                     // Timers first: a failure at t must cancel flows before
                     // the fluid sim hands us their completions at t.
-                    while self.timers.peek_time() == Some(n) {
-                        let (_, ev) = self.timers.pop().expect("peeked event exists");
+                    // (Nothing is ever scheduled before the clock, so the
+                    // due timers are exactly those at n.)
+                    while let Some((_, ev)) = self.timers.pop_due(n) {
                         self.handle_event(ev);
                     }
                     // Re-peek each round — handlers may have canceled flows.
@@ -833,50 +882,71 @@ impl Platform {
     /// of progress are lost"), and the node enters the Suspect →
     /// Quarantined health lifecycle. The node stays out of the pool until
     /// [`Platform::heal_node`] (operator repair) — injected fault plans
-    /// auto-repair instead.
+    /// auto-repair instead. A no-op on an unknown node.
     pub fn fail_node(&mut self, node: usize) {
-        self.fail_node_internal(node, false);
+        if node >= self.nodes.len() {
+            return;
+        }
+        if self.take_down(node, "node-fail", None) {
+            self.failures += 1;
+        }
         self.schedule_now();
     }
 
-    fn fail_node_internal(&mut self, node: usize, auto_repair: bool) {
-        if !self.nodes[node].up {
-            return;
+    /// The one way a node leaves the pool, for a hard failure and a
+    /// detector verdict alike: mark it down and suspect, schedule the
+    /// Suspect → Quarantined confirmation, evict its owner (a task rolls
+    /// back and re-queues, a replica re-queues its requests), then — with
+    /// `repair_after_s` — schedule the repair. That order is the timer
+    /// order (equal-time timers fire FIFO). False, and nothing done, when
+    /// the node is already down.
+    fn take_down(&mut self, node: usize, what: &str, repair_after_s: Option<u64>) -> bool {
+        let n = &mut self.nodes[node];
+        if !n.up {
+            return false;
         }
-        self.nodes[node].up = false;
+        n.up = false;
+        n.gen += 1;
+        let (gen, owner) = (n.gen, n.running);
         self.up_nodes -= 1;
-        self.nodes[node].gen += 1;
-        let gen = self.nodes[node].gen;
-        self.failures += 1;
         self.manager.mark_suspect(&node_name(node));
-        self.note("node-fail");
+        self.note(what);
         self.timers.schedule(
             self.now + SimDuration::from_secs(DETECT_CONFIRM_S),
             Ev::ConfirmFail { node, gen },
         );
-        match self.nodes[node].running {
+        match owner {
             Some(Owner::Train(id)) => self.rollback_and_requeue(id),
             Some(Owner::Serve(sid, rep)) => self.serve_replica_down(sid, rep),
             None => {}
         }
-        if auto_repair {
-            let delay = self.repair_delay_s.max(DETECT_CONFIRM_S + 1);
+        if let Some(s) = repair_after_s {
             self.timers.schedule(
-                self.now + SimDuration::from_secs(delay),
+                self.now + SimDuration::from_secs(s),
                 Ev::RepairDone { node, gen },
             );
         }
+        self.dirty = true;
+        true
+    }
+
+    /// The one way a node rejoins the pool: operator repair and a passed
+    /// validation both end here.
+    fn bring_up(&mut self, node: usize, what: &str) {
+        self.nodes[node].up = true;
+        self.up_nodes += 1;
+        self.note(what);
         self.dirty = true;
     }
 
     /// Return a repaired node to the pool immediately (the operator path:
     /// repair + validation have already happened off-line). A no-op on
-    /// healthy nodes, so sweeps may call it unconditionally.
+    /// healthy or unknown nodes, so sweeps may call it unconditionally.
     pub fn heal_node(&mut self, node: usize) {
-        if self.nodes[node].up {
+        let Some(n) = self.nodes.get_mut(node).filter(|n| !n.up) else {
             return;
-        }
-        self.nodes[node].gen += 1; // invalidate pending repair timers
+        };
+        n.gen += 1; // invalidate pending repair timers
         let name = node_name(node);
         if self.manager.health(&name) == Some(HealthState::Suspect) {
             self.manager.mark_failed(&name);
@@ -885,9 +955,7 @@ impl Platform {
             self.manager.begin_validation(&name);
         }
         self.manager.conclude_validation(&name, true);
-        self.nodes[node].up = true;
-        self.up_nodes += 1;
-        self.note("node-rejoin");
+        self.bring_up(node, "node-rejoin");
         self.schedule_now();
     }
 
@@ -975,22 +1043,20 @@ impl Platform {
             gray.mem[node] = f;
         }
         let (l, m) = (gray.link[node], gray.mem[node]);
-        if self.engine.is_some() {
-            self.with_engine(|_, eng| {
-                let (mem_r, nic_r) = node_probe_resources(eng, node);
-                if link.is_some() {
-                    eng.cluster
-                        .fluid
-                        .modulate(nic_r, l)
-                        .expect("gray link factor in (0, 1]");
-                }
-                if mem.is_some() {
-                    eng.cluster
-                        .fluid
-                        .modulate(mem_r, m)
-                        .expect("gray compute factor in (0, 1]");
-                }
-            });
+        if let Some(eng) = self.engine.as_mut() {
+            let (mem_r, nic_r) = node_probe_resources(eng, node);
+            if link.is_some() {
+                eng.cluster
+                    .fluid
+                    .modulate(nic_r, l)
+                    .expect("gray link factor in (0, 1]");
+            }
+            if mem.is_some() {
+                eng.cluster
+                    .fluid
+                    .modulate(mem_r, m)
+                    .expect("gray compute factor in (0, 1]");
+            }
         } else if mem.is_some() {
             self.resync_declared_node(node);
         }
@@ -1011,9 +1077,9 @@ impl Platform {
     /// The stretch of a declared-mode task: the slowest of its nodes
     /// (the synchronous-training property — every step waits for the
     /// straggler).
-    fn assigned_stretch(&self, assigned: &[usize]) -> f64 {
+    fn assigned_stretch(&self, nodes: &[usize]) -> f64 {
         let mut s = 1.0f64;
-        for &n in assigned {
+        for &n in nodes {
             s = s.max(self.gray_stretch(n));
         }
         s
@@ -1034,7 +1100,7 @@ impl Platform {
             return;
         }
         let live = self.live_progress(&self.tasks[&id]);
-        let stretch = self.assigned_stretch(&self.tasks[&id].assigned);
+        let stretch = self.assigned_stretch(&self.tasks[&id].placement.nodes);
         let t = self.tasks.get_mut(&id).expect("running task exists");
         t.progress = live;
         t.ckpt = live;
@@ -1080,7 +1146,7 @@ impl Platform {
         if t.ckpt_poisoned {
             t.ckpt_seq = t.ckpt_seq.saturating_sub(1);
         }
-        self.lost_work += (live - target) * t.assigned.len() as u64;
+        self.lost_work += (live - target) * t.placement.nodes.len() as u64;
         t.progress = target;
         t.ckpt = target;
         t.ckpt_poisoned = false;
@@ -1092,12 +1158,8 @@ impl Platform {
     fn handle_event(&mut self, ev: Ev) {
         match ev {
             Ev::TaskDone { id, epoch } => {
-                let valid = self
-                    .tasks
-                    .get(&id)
-                    .is_some_and(|t| t.epoch == epoch && t.state == TaskState::Running);
-                if valid {
-                    let t = self.tasks.get_mut(&id).expect("checked above");
+                let done = |t: &&mut Task| t.epoch == epoch && t.state == TaskState::Running;
+                if let Some(t) = self.tasks.get_mut(&id).filter(done) {
                     t.progress = t.work;
                     t.ckpt = t.work;
                     self.release(id, TaskState::Succeeded);
@@ -1133,14 +1195,11 @@ impl Platform {
                             self.now + SimDuration::from_secs(det.config().probation_s.max(1)),
                             Ev::ProbationEnd { node, gen },
                         );
-                        self.note("node-probation");
+                        self.bring_up(node, "node-probation");
                     } else {
                         self.manager.conclude_validation(&name, true);
-                        self.note("node-rejoin");
+                        self.bring_up(node, "node-rejoin");
                     }
-                    self.nodes[node].up = true;
-                    self.up_nodes += 1;
-                    self.dirty = true;
                 }
             }
             Ev::ProbationEnd { node, gen } => {
@@ -1176,8 +1235,10 @@ impl Platform {
     fn handle_fault(&mut self, node: usize, action: FaultAction) {
         match action {
             FaultAction::KillRank { .. } => {
-                let n = node % self.nodes.len();
-                self.fail_node_internal(n, true);
+                let repair = self.repair_delay_s.max(DETECT_CONFIRM_S + 1);
+                if self.take_down(node % self.nodes.len(), "node-fail", Some(repair)) {
+                    self.failures += 1;
+                }
             }
             FaultAction::DegradeLink { factor, .. } => {
                 let n = node % self.nodes.len();
@@ -1201,9 +1262,10 @@ impl Platform {
                 // bit in a KV cache surfaces as one bad response, not a
                 // recovery hazard.
                 if let Some(Owner::Train(id)) = self.nodes[n].running {
-                    let t = self.tasks.get_mut(&id).expect("running task exists");
-                    t.ckpt_poisoned = true;
-                    self.note("ckpt-poisoned");
+                    if let Some(t) = self.tasks.get_mut(&id) {
+                        t.ckpt_poisoned = true;
+                        self.note("ckpt-poisoned");
+                    }
                 }
             }
             FaultAction::Tolerate { .. } => {
@@ -1290,25 +1352,23 @@ impl Platform {
         };
         let n = self.nodes.len();
         let mut samples: Vec<Option<[f64; 2]>> = vec![None; n];
-        self.with_opt_engine(|p, mut eng| {
-            for (node, slot) in samples.iter_mut().enumerate() {
-                if !p.nodes[node].up {
-                    continue;
-                }
-                *slot = Some(match eng.as_deref_mut() {
-                    Some(eng) => {
-                        let (mem_r, nic_r) = node_probe_resources(eng, node);
-                        [
-                            probe_resource(&mut eng.cluster.fluid, nic_r),
-                            probe_resource(&mut eng.cluster.fluid, mem_r),
-                        ]
-                    }
-                    // Declared mode has no bandwidth model; the probe
-                    // measures the realized capacity factor of the path.
-                    None => [p.gray_link(node), 1.0 / p.gray_stretch(node)],
-                });
+        for (node, slot) in samples.iter_mut().enumerate() {
+            if !self.nodes[node].up {
+                continue;
             }
-        });
+            *slot = Some(match self.engine.as_mut() {
+                Some(eng) => {
+                    let (mem_r, nic_r) = node_probe_resources(eng, node);
+                    [
+                        probe_resource(&mut eng.cluster.fluid, nic_r),
+                        probe_resource(&mut eng.cluster.fluid, mem_r),
+                    ]
+                }
+                // Declared mode has no bandwidth model; the probe
+                // measures the realized capacity factor of the path.
+                None => [self.gray_link(node), 1.0 / self.gray_stretch(node)],
+            });
+        }
         let mut suspects = Vec::new();
         for (node, sample) in samples.into_iter().enumerate() {
             match sample {
@@ -1321,133 +1381,74 @@ impl Platform {
                 None => det.reset_node(node),
             }
         }
-        let period = det.config().probe_period_s;
+        let cfg = *det.config();
         self.detector = Some(det);
         for node in suspects {
             if let Some((rec, _)) = &self.obs {
                 rec.counter_add("platform/detector/suspects", 1.0);
             }
             self.note("detector-suspect");
-            self.quarantine_from_detector(node);
+            // Pull the node exactly as a hard failure would, then hold it
+            // for the adaptive backoff — `quarantine_hold_s × 2^flaps` —
+            // before repair enters validation and the probation leash. The
+            // detector can be wrong; when it is, this is the
+            // false-quarantine capacity cost the bench measures.
+            let backoff = 1u64 << self.flaps[node].min(cfg.max_flap_backoff);
+            let hold = (cfg.quarantine_hold_s.max(1) * backoff).max(DETECT_CONFIRM_S + 1);
+            if self.take_down(node, "detector-quarantine", Some(hold)) {
+                self.flaps[node] += 1;
+                self.detector_quarantines += 1;
+                if let Some((rec, _)) = &self.obs {
+                    rec.counter_add("platform/detector/quarantines", 1.0);
+                }
+            }
         }
-        self.timers
-            .schedule(self.now + SimDuration::from_secs(period), Ev::DetectorSweep);
-    }
-
-    /// Act on a confirmed suspect verdict: pull the node from the pool
-    /// exactly as a hard failure would (rollback / replica loss, Suspect
-    /// → Quarantined confirmation), then hold it for the adaptive
-    /// backoff — `quarantine_hold_s × 2^flaps` — before repair enters
-    /// validation and the probation leash. The detector can be wrong;
-    /// when it is, this is the false-quarantine capacity cost the bench
-    /// measures.
-    fn quarantine_from_detector(&mut self, node: usize) {
-        if !self.nodes[node].up {
-            return;
-        }
-        let cfg = *self
-            .detector
-            .as_ref()
-            .expect("sweep only runs with a detector")
-            .config();
-        self.nodes[node].up = false;
-        self.up_nodes -= 1;
-        self.nodes[node].gen += 1;
-        let gen = self.nodes[node].gen;
-        self.detector_quarantines += 1;
-        if let Some((rec, _)) = &self.obs {
-            rec.counter_add("platform/detector/quarantines", 1.0);
-        }
-        self.manager.mark_suspect(&node_name(node));
-        self.note("detector-quarantine");
         self.timers.schedule(
-            self.now + SimDuration::from_secs(DETECT_CONFIRM_S),
-            Ev::ConfirmFail { node, gen },
+            self.now + SimDuration::from_secs(cfg.probe_period_s),
+            Ev::DetectorSweep,
         );
-        match self.nodes[node].running {
-            Some(Owner::Train(id)) => self.rollback_and_requeue(id),
-            Some(Owner::Serve(sid, rep)) => self.serve_replica_down(sid, rep),
-            None => {}
-        }
-        let backoff = 1u64 << self.flaps[node].min(cfg.max_flap_backoff);
-        self.flaps[node] += 1;
-        let hold = (cfg.quarantine_hold_s.max(1) * backoff).max(DETECT_CONFIRM_S + 1);
-        self.timers.schedule(
-            self.now + SimDuration::from_secs(hold),
-            Ev::RepairDone { node, gen },
-        );
-        self.dirty = true;
     }
 
     // ----- fluid-mode phases ---------------------------------------------
 
-    /// Run `f` with the engine detached so it can borrow the rest of
-    /// `self` freely. No-op (None) in declared mode.
-    pub(crate) fn with_engine<R>(
-        &mut self,
-        f: impl FnOnce(&mut Self, &mut FluidEngine) -> R,
-    ) -> Option<R> {
-        let mut eng = self.engine.take()?;
-        let r = f(self, &mut eng);
-        self.engine = Some(eng);
-        Some(r)
-    }
-
-    /// Like [`with_engine`], but also runs `f` in declared mode (with
-    /// `None`) — for code paths serving shares between the two modes.
-    pub(crate) fn with_opt_engine<R>(
-        &mut self,
-        f: impl FnOnce(&mut Self, Option<&mut FluidEngine>) -> R,
-    ) -> R {
-        let mut eng = self.engine.take();
-        let r = f(self, eng.as_mut());
-        self.engine = eng;
-        r
-    }
-
     fn cancel_task_flows(&mut self, id: TaskId) {
-        self.with_engine(|p, eng| {
-            let t = p.tasks.get_mut(&id).expect("task exists");
-            for f in t.flows.drain(..) {
-                eng.flow_owner.remove(&f);
-                eng.cluster.fluid.cancel_flow(f);
+        if let Some(t) = self.tasks.get_mut(&id) {
+            if let Some(eng) = self.engine.as_mut() {
+                eng.cancel(&mut t.placement.flows);
             }
             t.phase = Phase::Idle;
-        });
+        }
     }
 
     /// Flow completions from the fluid sim: group by owner and fire phase
     /// transitions for owners whose whole flow set finished.
     fn handle_flows(&mut self, done: Vec<FlowId>) {
-        self.with_engine(|p, eng| {
-            let mut by_owner: BTreeMap<Owner, Vec<FlowId>> = BTreeMap::new();
-            for f in done {
-                if let Some(o) = eng.flow_owner.remove(&f) {
-                    by_owner.entry(o).or_default().push(f);
-                }
-            }
-            for (owner, fs) in by_owner {
-                match owner {
-                    Owner::Train(id) => {
-                        let t = p.tasks.get_mut(&id).expect("flow owner exists");
-                        t.flows.retain(|f| !fs.contains(f));
-                        if t.flows.is_empty() {
-                            p.phase_complete(eng, id);
-                        }
+        let Some(eng) = self.engine.as_mut() else {
+            return;
+        };
+        for (owner, fs) in eng.completed(done) {
+            match owner {
+                Owner::Train(id) => {
+                    let Some(t) = self.tasks.get_mut(&id) else {
+                        continue;
+                    };
+                    t.placement.flows.retain(|f| !fs.contains(f));
+                    if t.placement.flows.is_empty() {
+                        self.phase_complete(id);
                     }
-                    Owner::Serve(sid, rep) => p.serve_flows_done(eng, sid, rep, &fs),
                 }
+                Owner::Serve(sid, rep) => self.serve_flows_done(sid, rep, &fs),
             }
-        });
+        }
     }
 
-    fn phase_complete(&mut self, eng: &mut FluidEngine, id: TaskId) {
+    fn phase_complete(&mut self, id: TaskId) {
         let phase = self.tasks[&id].phase;
         match phase {
             Phase::Idle => {}
             Phase::Restore => {
-                self.verify_restore(eng, id);
-                self.start_step(eng, id);
+                self.verify_restore(id);
+                self.start_step(id);
             }
             Phase::Step => {
                 if let Some(mut det) = self.detector.take() {
@@ -1466,13 +1467,13 @@ impl Platform {
                     t.ckpt = t.work;
                     self.release(id, TaskState::Succeeded);
                 } else if t.progress - t.ckpt >= self.ckpt_interval {
-                    self.start_ckpt(eng, id);
+                    self.start_ckpt(id);
                 } else {
-                    self.start_step(eng, id);
+                    self.start_step(id);
                 }
             }
             Phase::Ckpt => {
-                let durable = self.write_ckpt_record(eng, id);
+                let durable = self.write_ckpt_record(id);
                 let t = self.tasks.get_mut(&id).expect("task exists");
                 if durable {
                     t.prev_ckpt = t.ckpt;
@@ -1490,95 +1491,90 @@ impl Platform {
                     self.release(id, next);
                 } else if durable {
                     self.note("ckpt");
-                    self.start_step(eng, id);
+                    self.start_step(id);
                 } else {
                     self.note("ckpt-failed");
-                    self.start_step(eng, id);
+                    self.start_step(id);
                 }
             }
         }
     }
 
-    fn start_step(&mut self, eng: &mut FluidEngine, id: TaskId) {
-        let t = self.tasks.get_mut(&id).expect("task exists");
-        let work = jobflow::ring_edge_bytes(t.assigned.len(), t.step_bytes).max(1.0);
+    fn start_step(&mut self, id: TaskId) {
+        let (Some(eng), Some(t)) = (self.engine.as_mut(), self.tasks.get_mut(&id)) else {
+            return;
+        };
+        let work = jobflow::ring_edge_bytes(t.placement.nodes.len(), t.step_bytes).max(1.0);
         t.phase = Phase::Step;
         t.step_started = self.now;
-        for route in &t.step_routes {
-            let f = eng.cluster.fluid.start_flow(work, route);
-            eng.flow_owner.insert(f, Owner::Train(id));
-            t.flows.push(f);
-        }
+        eng.start(
+            Owner::Train(id),
+            work,
+            &t.placement.routes,
+            &mut t.placement.flows,
+        );
     }
 
-    fn start_ckpt(&mut self, eng: &mut FluidEngine, id: TaskId) {
+    /// Start a checkpoint save or restore: one shard flow per node between
+    /// the task's nodes and the live storage hosts. False (and nothing
+    /// started) when no storage host is up.
+    fn start_storage_phase(&mut self, id: TaskId, phase: Phase) -> bool {
+        let (Some(eng), Some(t)) = (self.engine.as_mut(), self.tasks.get_mut(&id)) else {
+            return false;
+        };
         let alive = eng.alive_storage();
         if alive.is_empty() {
-            // Nowhere to write: skip this save and keep training; an
-            // interrupt hand-off proceeds with the in-memory state.
-            self.note("ckpt-skipped");
-            let t = self.tasks.get_mut(&id).expect("task exists");
-            if let Some(next) = t.pending.take() {
-                if next == TaskState::Interrupted {
-                    t.ckpt = t.progress;
-                }
-                self.release(id, next);
-            } else {
-                self.start_step(eng, id);
+            return false;
+        }
+        let nodes = &t.placement.nodes;
+        let routes = match phase {
+            Phase::Restore => jobflow::restore_routes(&eng.cluster, nodes, &alive),
+            _ => jobflow::ckpt_routes(&eng.cluster, nodes, &alive),
+        };
+        let work = (t.ckpt_bytes / nodes.len() as f64).max(1.0);
+        t.phase = phase;
+        eng.start(Owner::Train(id), work, &routes, &mut t.placement.flows);
+        true
+    }
+
+    fn start_ckpt(&mut self, id: TaskId) {
+        if self.start_storage_phase(id, Phase::Ckpt) {
+            return;
+        }
+        // Nowhere to write: skip this save and keep training; an
+        // interrupt hand-off proceeds with the in-memory state.
+        self.note("ckpt-skipped");
+        let t = self.tasks.get_mut(&id).expect("task exists");
+        if let Some(next) = t.pending.take() {
+            if next == TaskState::Interrupted {
+                t.ckpt = t.progress;
             }
-            return;
-        }
-        let (assigned, ckpt_bytes) = {
-            let t = &self.tasks[&id];
-            (t.assigned.clone(), t.ckpt_bytes)
-        };
-        let routes = jobflow::ckpt_routes(&eng.cluster, &assigned, &alive);
-        let work = (ckpt_bytes / assigned.len() as f64).max(1.0);
-        let t = self.tasks.get_mut(&id).expect("task exists");
-        t.phase = Phase::Ckpt;
-        for route in &routes {
-            let f = eng.cluster.fluid.start_flow(work, route);
-            eng.flow_owner.insert(f, Owner::Train(id));
-            t.flows.push(f);
+            self.release(id, next);
+        } else {
+            self.start_step(id);
         }
     }
 
-    fn start_restore(&mut self, eng: &mut FluidEngine, id: TaskId) {
-        let alive = eng.alive_storage();
-        if alive.is_empty() {
-            self.start_step(eng, id);
-            return;
-        }
-        let (assigned, ckpt_bytes) = {
-            let t = &self.tasks[&id];
-            (t.assigned.clone(), t.ckpt_bytes)
-        };
-        let routes = jobflow::restore_routes(&eng.cluster, &assigned, &alive);
-        let work = (ckpt_bytes / assigned.len() as f64).max(1.0);
-        let t = self.tasks.get_mut(&id).expect("task exists");
-        t.phase = Phase::Restore;
-        for route in &routes {
-            let f = eng.cluster.fluid.start_flow(work, route);
-            eng.flow_owner.insert(f, Owner::Train(id));
-            t.flows.push(f);
+    fn start_restore(&mut self, id: TaskId) {
+        if !self.start_storage_phase(id, Phase::Restore) {
+            self.start_step(id);
         }
     }
 
     /// Write this task's checkpoint record (task id, progress, sequence)
     /// to its 3FS chain. One retry after shedding dead members.
-    fn write_ckpt_record(&mut self, eng: &mut FluidEngine, id: TaskId) -> bool {
-        let (progress, seq) = {
-            let t = &self.tasks[&id];
-            (t.progress, t.ckpt_seq)
+    fn write_ckpt_record(&self, id: TaskId) -> bool {
+        let (Some(eng), Some(t)) = (&self.engine, self.tasks.get(&id)) else {
+            return false;
         };
         let chain = &eng.chains[id.0 as usize % eng.chains.len()];
         let mut data = Vec::with_capacity(24);
         data.extend_from_slice(&id.0.to_le_bytes());
-        data.extend_from_slice(&progress.to_le_bytes());
-        data.extend_from_slice(&seq.to_le_bytes());
+        data.extend_from_slice(&t.progress.to_le_bytes());
+        data.extend_from_slice(&t.ckpt_seq.to_le_bytes());
         let chunk = ChunkId {
             ino: id.0,
-            idx: seq,
+            idx: t.ckpt_seq,
         };
         let bytes = Bytes::copy_from_slice(&data);
         match chain.write(chunk, bytes.clone()) {
@@ -1594,25 +1590,19 @@ impl Platform {
 
     /// Cross-check the restored state against the durable record. Purely
     /// observational: a mismatch or degraded read is noted, not fatal.
-    fn verify_restore(&mut self, eng: &mut FluidEngine, id: TaskId) {
-        let (progress, seq) = {
-            let t = &self.tasks[&id];
-            (t.progress, t.ckpt_seq)
+    fn verify_restore(&self, id: TaskId) {
+        let (Some(eng), Some(t)) = (&self.engine, self.tasks.get(&id)) else {
+            return;
         };
-        if seq == 0 {
+        if t.ckpt_seq == 0 {
             return;
         }
         let chain = &eng.chains[id.0 as usize % eng.chains.len()];
         match chain.read(ChunkId {
             ino: id.0,
-            idx: seq - 1,
+            idx: t.ckpt_seq - 1,
         }) {
-            Ok(b) if b.len() == 24 => {
-                let rec = u64::from_le_bytes(b.as_slice()[8..16].try_into().expect("8 bytes"));
-                if rec != progress {
-                    self.note("restore-mismatch");
-                }
-            }
+            Ok(b) if b.len() == 24 && b.as_slice()[8..16] == t.progress.to_le_bytes() => {}
             Ok(_) => self.note("restore-mismatch"),
             Err(_) => self.note("restore-degraded"),
         }
@@ -1642,7 +1632,7 @@ impl Platform {
                 let t = self.tasks.get_mut(&id).expect("task exists");
                 t.pending = Some(TaskState::Interrupted);
                 t.state = TaskState::Interrupting;
-                self.with_engine(|p, eng| p.start_ckpt(eng, id));
+                self.start_ckpt(id);
             }
             Phase::Ckpt => {
                 let t = self.tasks.get_mut(&id).expect("task exists");
@@ -1659,20 +1649,14 @@ impl Platform {
     /// Stop a task and free its nodes, entering `new_state`.
     fn release(&mut self, id: TaskId, new_state: TaskState) {
         let t = self.tasks.get_mut(&id).expect("task exists");
-        let assigned = std::mem::take(&mut t.assigned);
-        t.step_routes = Vec::new();
+        let placement = std::mem::take(&mut t.placement);
         let (name, placed_at, progress) = (t.name.clone(), t.placed_at, t.progress);
         t.cross_zone = false;
         t.state = new_state;
         t.phase = Phase::Idle;
         t.pending = None;
         t.epoch += 1;
-        debug_assert!(t.flows.is_empty(), "released task has no live flows");
-        for &n in &assigned {
-            self.nodes[n].running = None;
-        }
-        self.busy_nodes -= assigned.len();
-        self.dirty = true;
+        self.vacate(placement);
         if let Some((rec, track)) = &self.obs {
             rec.span(
                 *track,
@@ -1702,13 +1686,14 @@ impl Platform {
         if let Some((id, need, prio)) = top {
             if !self.try_place(id, need) {
                 // Count nodes already being freed by in-flight interrupts
-                // before signaling more victims.
-                let mut freed = self.free_up_count()
+                // before signaling more victims. Occupied nodes are always
+                // up, so the free ones are the difference of the counters.
+                let mut freed = self.up_nodes - self.busy_nodes
                     + self
                         .tasks
                         .values()
                         .filter(|t| t.state == TaskState::Interrupting)
-                        .map(|t| t.assigned.len())
+                        .map(|t| t.placement.nodes.len())
                         .sum::<usize>();
                 if freed < need {
                     let mut victims: Vec<(i32, TaskId)> = self
@@ -1723,7 +1708,7 @@ impl Platform {
                         if freed >= need {
                             break;
                         }
-                        freed += self.tasks[&vid].assigned.len();
+                        freed += self.tasks[&vid].placement.nodes.len();
                         to_evict.push(vid);
                     }
                     if freed >= need {
@@ -1760,13 +1745,6 @@ impl Platform {
         self.record_gauges();
     }
 
-    fn free_up_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.up && n.running.is_none())
-            .count()
-    }
-
     pub(crate) fn free_by_zone(&self) -> [Vec<usize>; 2] {
         let mut free = [Vec::new(), Vec::new()];
         for (i, n) in self.nodes.iter().enumerate() {
@@ -1783,7 +1761,7 @@ impl Platform {
         let mut n = [0usize; 2];
         for t in self.tasks.values() {
             if t.state == TaskState::Interrupting {
-                for &node in &t.assigned {
+                for &node in &t.placement.nodes {
                     n[self.nodes[node].zone as usize] += 1;
                 }
             }
@@ -1801,7 +1779,7 @@ impl Platform {
             .filter(|(_, t)| t.state == TaskState::Running)
             .map(|(&id, t)| {
                 let mut n = [0usize; 2];
-                for &node in &t.assigned {
+                for &node in &t.placement.nodes {
                     n[self.nodes[node].zone as usize] += 1;
                 }
                 (t.priority, id, n)
@@ -1817,38 +1795,76 @@ impl Platform {
         })
     }
 
+    /// The zone-first node picker: the first `need` free nodes of the
+    /// first zone that holds them all, else — if `cross_zone_ok` allows —
+    /// the first `need` free nodes of both zones. Returns the nodes and
+    /// whether they span zones.
+    pub(crate) fn pick_nodes(
+        &self,
+        need: usize,
+        cross_zone_ok: impl FnOnce() -> bool,
+    ) -> Option<(Vec<usize>, bool)> {
+        let [mut zone0, zone1] = self.free_by_zone();
+        for free in [&zone0, &zone1] {
+            if free.len() >= need {
+                return Some((free[..need].to_vec(), false));
+            }
+        }
+        if zone0.len() + zone1.len() < need || !cross_zone_ok() {
+            return None;
+        }
+        zone0.extend(&zone1[..need - zone0.len()]);
+        Some((zone0, true))
+    }
+
+    /// The one way nodes become busy: `owner` takes `nodes`, and in fluid
+    /// mode their ring routes are built for the placement's lifetime.
+    pub(crate) fn occupy(&mut self, owner: Owner, nodes: Vec<usize>) -> Placement {
+        for &n in &nodes {
+            self.nodes[n].running = Some(owner);
+        }
+        self.busy_nodes += nodes.len();
+        let routes = self
+            .engine
+            .as_ref()
+            .map_or_else(Vec::new, |eng| jobflow::step_routes(&eng.cluster, &nodes));
+        Placement {
+            nodes,
+            routes,
+            flows: Vec::new(),
+        }
+    }
+
+    /// The one way nodes become free again: cancel whatever traffic the
+    /// placement still has on the network and clear its node slots.
+    pub(crate) fn vacate(&mut self, mut placement: Placement) {
+        if let Some(eng) = self.engine.as_mut() {
+            eng.cancel(&mut placement.flows);
+        }
+        for &n in &placement.nodes {
+            self.nodes[n].running = None;
+        }
+        self.busy_nodes -= placement.nodes.len();
+        self.dirty = true;
+    }
+
     /// Try to place a task: single-zone first; cross-zone only when no
     /// other cross-zone task is active.
     fn try_place(&mut self, id: TaskId, need: usize) -> bool {
-        let free = self.free_by_zone();
-        let pick: Option<(Vec<usize>, bool)> = if free[0].len() >= need {
-            Some((free[0][..need].to_vec(), false))
-        } else if free[1].len() >= need {
-            Some((free[1][..need].to_vec(), false))
-        } else if free[0].len() + free[1].len() >= need && !self.cross_zone_active() {
-            let mut all = free[0].clone();
-            all.extend(&free[1]);
-            Some((all[..need].to_vec(), true))
-        } else {
-            None
-        };
-        let Some((nodes, cross)) = pick else {
+        let Some((nodes, cross)) = self.pick_nodes(need, || !self.cross_zone_active()) else {
             return false;
         };
-        let (stretch, step_routes) = match &self.engine {
-            None => (self.assigned_stretch(&nodes), Vec::new()),
-            Some(eng) => (1.0, jobflow::step_routes(&eng.cluster, &nodes)),
+        let stretch = if self.engine.is_none() {
+            self.assigned_stretch(&nodes)
+        } else {
+            1.0
         };
-        for &n in &nodes {
-            self.nodes[n].running = Some(Owner::Train(id));
-        }
-        self.busy_nodes += nodes.len();
+        let placement = self.occupy(Owner::Train(id), nodes);
         if let Some(since) = self.recovering.remove(&id) {
             self.recovery_s.push((self.now.0 - since.0) / 1_000_000_000);
         }
         let t = self.tasks.get_mut(&id).expect("task exists");
-        t.assigned = nodes;
-        t.step_routes = step_routes;
+        t.placement = placement;
         t.cross_zone = cross;
         t.state = TaskState::Running;
         t.placed_at = self.now;
@@ -1861,9 +1877,9 @@ impl Platform {
         self.note("place");
         if self.engine.is_some() {
             if resume {
-                self.with_engine(|p, eng| p.start_restore(eng, id));
+                self.start_restore(id);
             } else {
-                self.with_engine(|p, eng| p.start_step(eng, id));
+                self.start_step(id);
             }
         } else {
             self.timers.schedule(
@@ -1936,7 +1952,7 @@ impl Platform {
     /// The nodes a task runs on (empty when not running), or `None` for an
     /// unknown id.
     pub fn assignment(&self, id: TaskId) -> Option<&[usize]> {
-        self.tasks.get(&id).map(|t| t.assigned.as_slice())
+        self.tasks.get(&id).map(|t| t.placement.nodes.as_slice())
     }
 
     /// The training task occupying a compute node right now, or `None`
@@ -2367,7 +2383,7 @@ mod tests {
         assert_eq!(nodes.len(), 3);
         assert!(!nodes.contains(&failed));
         run_till(&mut p, ms, 1_000_000, in_step);
-        assert_eq!(p.tasks[&t].step_routes.len(), nodes.len());
+        assert_eq!(p.tasks[&t].placement.routes.len(), nodes.len());
         assert_eq!(owned_flows(&p, Owner::Train(t)), nodes.len());
         assert_eq!(nic_flows(&p, failed), 0, "no flow crosses the failed node");
     }
@@ -2495,5 +2511,166 @@ mod tests {
         run_till(&mut p, SimDuration::from_secs(1), 100_000, |p| {
             p.state(t) == Some(TaskState::Succeeded)
         });
+    }
+
+    /// The scheduler's books balance: `busy_nodes` equals the occupied
+    /// slots and the placements' total size, every occupied slot's owner
+    /// lists that node, `up_nodes` counts the up nodes, no down node is
+    /// occupied, and in fluid mode the flow → owner map names exactly the
+    /// placements' flows.
+    fn check_books(p: &Platform, op: &str) {
+        let mut placements: Vec<(Owner, &Placement)> = p
+            .tasks
+            .iter()
+            .map(|(&id, t)| (Owner::Train(id), &t.placement))
+            .collect();
+        for (&sid, job) in &p.serving {
+            placements.extend(
+                job.placements()
+                    .map(|(rep, pl)| (Owner::Serve(sid, rep), pl)),
+            );
+        }
+        let occupied = p.nodes.iter().filter(|n| n.running.is_some()).count();
+        let placed: usize = placements.iter().map(|(_, pl)| pl.nodes.len()).sum();
+        assert_eq!(p.busy_nodes, occupied, "{op}: busy_nodes vs slots");
+        assert_eq!(occupied, placed, "{op}: slots vs placements");
+        for (node, n) in p.nodes.iter().enumerate() {
+            if let Some(owner) = n.running {
+                assert!(n.up, "{op}: down node {node} is occupied");
+                let listed = placements
+                    .iter()
+                    .any(|(o, pl)| *o == owner && pl.nodes.contains(&node));
+                assert!(listed, "{op}: {owner:?} holds node {node} it does not list");
+            }
+        }
+        let up = p.nodes.iter().filter(|n| n.up).count();
+        assert_eq!(p.up_nodes, up, "{op}: up_nodes");
+        if let Some(eng) = &p.engine {
+            let mut flows: Vec<FlowId> = placements
+                .iter()
+                .flat_map(|(_, pl)| pl.flows.iter().copied())
+                .collect();
+            flows.sort();
+            let owned: Vec<FlowId> = eng.flow_owner.keys().copied().collect();
+            assert_eq!(owned, flows, "{op}: flow ledger vs placements");
+        }
+    }
+
+    /// One seeded run of submit / fail / heal / gray straggler (so the
+    /// detector quarantines) / serving / `stop_serving` / time, checking
+    /// the books after every operation. Returns the detector quarantines
+    /// and serving stops it saw.
+    fn books_run(mut p: Platform, seed: u64, step: SimDuration) -> (u64, usize) {
+        use crate::serving::ServingSpec;
+        use ff_util::rng::ChaCha8Rng;
+        use ff_util::scengen::{ArrivalConfig, ArrivalTrace};
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = p.node_count();
+        let mut services = Vec::new();
+        let mut stops = 0;
+        for i in 0..120 {
+            let op = match rng.gen_range(0..12u32) {
+                0..=1 => {
+                    let job = JobSpec::new(format!("t{i}"), rng.gen_range(1..4usize), 400)
+                        .priority(rng.gen_range(0..4i32))
+                        .step_bytes(6.4e7)
+                        .ckpt_bytes(2.56e8);
+                    let _ = p.submit(job);
+                    "submit"
+                }
+                2 => {
+                    p.fail_node(rng.gen_range(0..n + 2));
+                    "fail"
+                }
+                3 => {
+                    p.heal_node(rng.gen_range(0..n + 2));
+                    "heal"
+                }
+                4 => {
+                    let at = p.now().0 as f64 / 1e9;
+                    let fault = GrayFault::Straggler {
+                        slowdown: 4.0,
+                        onset_ramp_s: 0.0,
+                    };
+                    p.apply_gray_plan(&GrayPlan::single(at, rng.gen_range(0..n), 120.0, fault));
+                    "gray"
+                }
+                5 => {
+                    let trace = ArrivalTrace::generate(
+                        seed ^ i,
+                        &ArrivalConfig {
+                            duration_s: 60.0,
+                            base_qps: 2.0,
+                            ..ArrivalConfig::default()
+                        },
+                    );
+                    if let Ok(sid) = p.submit_serving(ServingSpec::new("svc", 2, 2, trace)) {
+                        services.push(sid);
+                    }
+                    "serve"
+                }
+                6 if !services.is_empty() => {
+                    let sid = services.swap_remove(rng.gen_range(0..services.len()));
+                    stops += usize::from(p.stop_serving(sid));
+                    "stop_serving"
+                }
+                _ => {
+                    p.run_for(step * rng.gen_range(1..40u64));
+                    "run"
+                }
+            };
+            check_books(&p, &format!("seed {seed} op {i} ({op})"));
+        }
+        (p.detector_quarantines(), stops)
+    }
+
+    #[test]
+    fn books_balance_after_every_operation() {
+        let detector = || crate::detector::DetectorConfig::with_sensitivity(0.9);
+        let (mut quarantines, mut stops) = (0, 0);
+        for seed in 0..4 {
+            let declared = PlatformConfig::new()
+                .zones([6, 6])
+                .ckpt_interval(60)
+                .repair_delay_s(120)
+                .detector(detector())
+                .build()
+                .unwrap();
+            let fluid = PlatformConfig::new()
+                .cluster(ClusterModel::build(&ClusterConfig::fire_flyer(10)))
+                .storage_nodes(2)
+                .ckpt_interval(5)
+                .repair_delay_s(120)
+                .detector(detector())
+                .build()
+                .unwrap();
+            for (p, step) in [
+                (declared, SimDuration::from_secs(5)),
+                (fluid, SimDuration::from_secs(1)),
+            ] {
+                let (q, s) = books_run(p, seed, step);
+                quarantines += q;
+                stops += s;
+            }
+        }
+        assert!(quarantines > 0, "the detector never quarantined a node");
+        assert!(stops > 0, "no serving job was ever stopped");
+    }
+
+    /// Out-of-range nodes are no-ops for the operator calls, as they are
+    /// `None` for [`Platform::node_task`] and [`Platform::node_health`].
+    #[test]
+    fn out_of_range_fail_and_heal_are_no_ops() {
+        let mut p = declared([2, 2], 300);
+        let t = p.submit(JobSpec::new("job", 4, 100)).unwrap();
+        p.fail_node(4);
+        p.heal_node(4);
+        p.fail_node(usize::MAX);
+        p.heal_node(usize::MAX);
+        assert_eq!(p.healthy_nodes(), 4);
+        assert_eq!(p.failures(), 0);
+        assert_eq!(p.state(t), Some(TaskState::Running));
+        assert_eq!(p.node_task(4), None);
+        assert_eq!(p.node_health(4), None);
     }
 }

@@ -36,8 +36,8 @@
 //! failures surface as tail latency, exactly what the p99-under-failure
 //! bench measures.
 
-use crate::scheduler::{Ev, FluidEngine, Owner, Platform, SubmitError};
-use ff_desim::{FlowId, Route, SimTime};
+use crate::scheduler::{Ev, Owner, Placement, Platform, SubmitError};
+use ff_desim::{FlowId, SimTime};
 use ff_reduce::jobflow;
 use ff_util::scengen::{ArrivalTrace, Request};
 use std::collections::VecDeque;
@@ -206,11 +206,10 @@ struct InFlight {
 
 #[derive(Debug, Default)]
 struct Replica {
-    nodes: Vec<usize>,
-    /// Fluid mode: the tensor-parallel allreduce ring over `nodes`, built
-    /// at placement and dropped with the nodes (routing is static).
-    step_routes: Vec<Route>,
-    running: bool,
+    /// The replica's nodes and, in fluid mode, its tensor-parallel
+    /// allreduce ring and live flows. The replica runs exactly when this
+    /// is non-empty.
+    placement: Placement,
     /// Bumped on every placement/teardown; stale segment timers are
     /// dropped.
     epoch: u64,
@@ -225,7 +224,12 @@ struct Replica {
     seg_iters: u32,
     /// Prompt tokens prefilled in this segment.
     seg_prompt: u64,
-    flows: Vec<FlowId>,
+}
+
+impl Replica {
+    fn running(&self) -> bool {
+        !self.placement.nodes.is_empty()
+    }
 }
 
 /// Internal state of one serving job.
@@ -380,43 +384,28 @@ impl Platform {
     /// discard everything still in flight (counted in
     /// [`ServingReport::dropped`]). Returns false for unknown/stopped ids.
     pub fn stop_serving(&mut self, sid: ServingId) -> bool {
-        if !self.serving.contains_key(&sid) || self.serving[&sid].stopped {
+        let Some(job) = self.serving.get_mut(&sid).filter(|j| !j.stopped) else {
             return false;
+        };
+        job.stopped = true;
+        job.dropped += job.pending.len() as u64;
+        job.pending.clear();
+        let mut placements = Vec::new();
+        for r in job.replicas.iter_mut() {
+            job.dropped += (r.queue.len() + r.batch.len()) as u64;
+            r.queue.clear();
+            r.batch.clear();
+            r.kv_used = 0.0;
+            r.busy = false;
+            r.net_pending = false;
+            r.seg_iters = 0;
+            r.seg_prompt = 0;
+            r.epoch += 1;
+            placements.push(std::mem::take(&mut r.placement));
         }
-        self.with_opt_engine(|p, mut eng| {
-            let job = p.serving.get_mut(&sid).expect("checked above");
-            job.stopped = true;
-            job.dropped += job.pending.len() as u64;
-            job.pending.clear();
-            let mut freed = Vec::new();
-            for r in job.replicas.iter_mut() {
-                job.dropped += (r.queue.len() + r.batch.len()) as u64;
-                r.queue.clear();
-                r.batch.clear();
-                r.kv_used = 0.0;
-                r.busy = false;
-                r.net_pending = false;
-                r.seg_iters = 0;
-                r.seg_prompt = 0;
-                r.epoch += 1;
-                if let Some(eng) = eng.as_deref_mut() {
-                    for f in r.flows.drain(..) {
-                        eng.flow_owner.remove(&f);
-                        eng.cluster.fluid.cancel_flow(f);
-                    }
-                }
-                r.flows.clear();
-                if r.running {
-                    r.running = false;
-                    freed.extend(std::mem::take(&mut r.nodes));
-                    r.step_routes = Vec::new();
-                }
-            }
-            for &n in &freed {
-                p.nodes[n].running = None;
-            }
-            p.busy_nodes -= freed.len();
-        });
+        for placement in placements {
+            self.vacate(placement);
+        }
         self.note_serve("serve-stop");
         self.schedule_now();
         true
@@ -451,7 +440,7 @@ impl Platform {
                 lats.iter().sum::<u64>() as f64 / lats.len() as f64 / 1e6
             },
             in_flight: job.in_flight(),
-            replicas_up: job.replicas.iter().filter(|r| r.running).count(),
+            replicas_up: job.replicas.iter().filter(|r| r.running()).count(),
             max_kv_frac: job.max_kv_frac,
             redirects: job.redirects,
             dropped: job.dropped,
@@ -471,7 +460,7 @@ impl Platform {
             .get(&sid)?
             .replicas
             .get(rep as usize)
-            .map(|r| r.nodes.as_slice())
+            .map(|r| r.placement.nodes.as_slice())
     }
 
     /// The serving job's name, or `None` for an unknown id.
@@ -490,7 +479,7 @@ impl Platform {
             for rep in 0..nreps {
                 let (skip, need) = {
                     let j = &self.serving[&sid];
-                    (j.stopped || j.replicas[rep].running, j.nodes_per_replica)
+                    (j.stopped || j.replicas[rep].running(), j.nodes_per_replica)
                 };
                 if skip {
                     continue;
@@ -506,28 +495,13 @@ impl Platform {
     /// Replicas are single-zone (they are latency-bound and small; the
     /// cross-zone budget stays with training).
     fn try_place_replica(&mut self, sid: ServingId, rep: usize, need: usize) -> bool {
-        let free = self.free_by_zone();
-        let zone = if free[0].len() >= need {
-            0
-        } else if free[1].len() >= need {
-            1
-        } else {
+        let Some((nodes, _)) = self.pick_nodes(need, || false) else {
             return false;
         };
-        let nodes: Vec<usize> = free[zone][..need].to_vec();
-        for &n in &nodes {
-            self.nodes[n].running = Some(Owner::Serve(sid, rep as u32));
-        }
-        self.busy_nodes += nodes.len();
-        let step_routes = self
-            .engine
-            .as_ref()
-            .map_or_else(Vec::new, |eng| jobflow::step_routes(&eng.cluster, &nodes));
+        let placement = self.occupy(Owner::Serve(sid, rep as u32), nodes);
         let job = self.serving.get_mut(&sid).expect("placing known job");
         let r = &mut job.replicas[rep];
-        r.nodes = nodes;
-        r.step_routes = step_routes;
-        r.running = true;
+        r.placement = placement;
         r.epoch += 1;
         let waiting: Vec<Waiting> = job.pending.drain(..).collect();
         self.note_serve("serve-replica-up");
@@ -578,48 +552,35 @@ impl Platform {
     /// down and re-queue its requests (original arrival times — the
     /// latency clock keeps running) onto surviving replicas.
     pub(crate) fn serve_replica_down(&mut self, sid: ServingId, rep: u32) {
-        let displaced = self.with_opt_engine(|p, eng| {
-            let job = p.serving.get_mut(&sid).expect("owner map names live jobs");
-            let r = &mut job.replicas[rep as usize];
-            debug_assert!(r.running, "owner map only names running replicas");
-            r.running = false;
-            r.busy = false;
-            r.net_pending = false;
-            r.seg_iters = 0;
-            r.seg_prompt = 0;
-            r.kv_used = 0.0;
-            r.epoch += 1;
-            if let Some(eng) = eng {
-                for f in r.flows.drain(..) {
-                    eng.flow_owner.remove(&f);
-                    eng.cluster.fluid.cancel_flow(f);
-                }
-            }
-            r.flows.clear();
-            let nodes = std::mem::take(&mut r.nodes);
-            r.step_routes = Vec::new();
-            // Partial decode progress is lost: displaced requests restart
-            // from their prompt on whichever replica picks them up.
-            let mut displaced: Vec<Waiting> = r
-                .batch
-                .drain(..)
-                .map(|f| Waiting {
-                    req: f.req,
-                    arrived: f.arrived,
-                })
-                .collect();
-            displaced.extend(r.queue.drain(..));
-            for &n in &nodes {
-                p.nodes[n].running = None;
-            }
-            p.busy_nodes -= nodes.len();
-            displaced
-        });
+        let job = self
+            .serving
+            .get_mut(&sid)
+            .expect("owner map names live jobs");
+        let r = &mut job.replicas[rep as usize];
+        debug_assert!(r.running(), "owner map only names running replicas");
+        r.busy = false;
+        r.net_pending = false;
+        r.seg_iters = 0;
+        r.seg_prompt = 0;
+        r.kv_used = 0.0;
+        r.epoch += 1;
+        let placement = std::mem::take(&mut r.placement);
+        // Partial decode progress is lost: displaced requests restart
+        // from their prompt on whichever replica picks them up.
+        let mut displaced: Vec<Waiting> = r
+            .batch
+            .drain(..)
+            .map(|f| Waiting {
+                req: f.req,
+                arrived: f.arrived,
+            })
+            .collect();
+        displaced.extend(r.queue.drain(..));
+        self.vacate(placement);
         self.note_serve("serve-replica-down");
         for w in displaced {
             self.serve_dispatch(sid, w);
         }
-        self.dirty = true;
     }
 
     // ----- request path ---------------------------------------------------
@@ -652,7 +613,7 @@ impl Platform {
         let home = (w.req.id % nreps as u64) as usize;
         let target = (0..nreps)
             .map(|off| (home + off) % nreps)
-            .find(|&i| job.replicas[i].running);
+            .find(|&i| job.replicas[i].running());
         let Some(i) = target else {
             job.pending.push_back(w);
             return;
@@ -671,7 +632,7 @@ impl Platform {
     fn serve_segment_start(&mut self, sid: ServingId, rep: usize) {
         let now = self.now;
         let job = self.serving.get_mut(&sid).expect("segment on live job");
-        if !job.replicas[rep].running || job.replicas[rep].busy {
+        if !job.replicas[rep].running() || job.replicas[rep].busy {
             return;
         }
         let prompt = job.admit(rep);
@@ -710,7 +671,7 @@ impl Platform {
     pub(crate) fn serve_seg_event(&mut self, sid: ServingId, rep: u32, epoch: u64) {
         let valid = self.serving.get(&sid).is_some_and(|j| {
             !j.stopped
-                && j.replicas[rep as usize].running
+                && j.replicas[rep as usize].running()
                 && j.replicas[rep as usize].epoch == epoch
                 && j.replicas[rep as usize].busy
                 && !j.replicas[rep as usize].net_pending
@@ -718,40 +679,32 @@ impl Platform {
         if !valid {
             return;
         }
-        if self.engine.is_some() {
-            self.with_engine(|p, eng| {
-                let job = p.serving.get_mut(&sid).expect("validated above");
-                let tp = job.tp_bytes_per_token;
-                let r = &mut job.replicas[rep as usize];
-                let tokens = r.batch.len() as u64 * r.seg_iters as u64 + r.seg_prompt;
-                let work = jobflow::ring_edge_bytes(r.nodes.len(), tp * tokens as f64).max(1.0);
-                r.net_pending = true;
-                for route in &r.step_routes {
-                    let f = eng.cluster.fluid.start_flow(work, route);
-                    eng.flow_owner.insert(f, Owner::Serve(sid, rep));
-                    r.flows.push(f);
-                }
-            });
-        } else {
+        let (Some(eng), Some(job)) = (self.engine.as_mut(), self.serving.get_mut(&sid)) else {
             self.serve_segment_complete(sid, rep as usize);
-        }
+            return;
+        };
+        let tp = job.tp_bytes_per_token;
+        let r = &mut job.replicas[rep as usize];
+        let tokens = r.batch.len() as u64 * r.seg_iters as u64 + r.seg_prompt;
+        let work = jobflow::ring_edge_bytes(r.placement.nodes.len(), tp * tokens as f64).max(1.0);
+        r.net_pending = true;
+        eng.start(
+            Owner::Serve(sid, rep),
+            work,
+            &r.placement.routes,
+            &mut r.placement.flows,
+        );
     }
 
     /// Some of a replica's tensor-parallel flows drained; when the whole
     /// set is done the segment lands.
-    pub(crate) fn serve_flows_done(
-        &mut self,
-        _eng: &mut FluidEngine,
-        sid: ServingId,
-        rep: u32,
-        done: &[FlowId],
-    ) {
+    pub(crate) fn serve_flows_done(&mut self, sid: ServingId, rep: u32, done: &[FlowId]) {
         let Some(job) = self.serving.get_mut(&sid) else {
             return;
         };
         let r = &mut job.replicas[rep as usize];
-        r.flows.retain(|f| !done.contains(f));
-        if r.flows.is_empty() && r.net_pending {
+        r.placement.flows.retain(|f| !done.contains(f));
+        if r.placement.flows.is_empty() && r.net_pending {
             self.serve_segment_complete(sid, rep as usize);
         }
     }
@@ -802,5 +755,13 @@ impl Platform {
         if let (Some((rec, _)), Some(track)) = (&self.obs, self.serve_track) {
             rec.instant(track, what, self.now.0, 1.0);
         }
+    }
+}
+
+#[cfg(test)]
+impl ServingJob {
+    /// Each replica's index and placement, for the scheduler's books test.
+    pub(crate) fn placements(&self) -> impl Iterator<Item = (u32, &Placement)> {
+        (0u32..).zip(self.replicas.iter().map(|r| &r.placement))
     }
 }
