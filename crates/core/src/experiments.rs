@@ -1,147 +1,67 @@
-//! Programmatic access to the paper's experiment series — the same data
-//! the `ff-bench` binaries print, as values, for downstream analysis.
-
-use ff_haiscale::ddp::{ddp_step, DdpBackend};
-use ff_haiscale::models::TrainModel;
-use ff_haiscale::moe::{moe_step, MoeConfig};
-use ff_haiscale::pipeline::{pipeline_step, PipelineConfig};
-use ff_reduce::model::{hfreduce_steady, HfReduceOptions, HfReduceVariant};
-use ff_reduce::ring::ring_analytic_bw;
-use ff_reduce::ClusterConfig;
-
-/// One point of the Figure 7a comparison.
-#[derive(Debug, Clone)]
-pub struct AllreducePoint {
-    /// Participating GPUs.
-    pub gpus: usize,
-    /// HFReduce algorithm bandwidth, bytes/s (discrete-event simulation).
-    pub hfreduce_bps: f64,
-    /// NCCL-style ring bandwidth, bytes/s (calibrated model).
-    pub nccl_bps: f64,
-}
-
-/// The Figure 7a sweep at `bytes` per GPU over `gpu_counts` (multiples of
-/// 8). The large points simulate hundreds of nodes — run in release.
-pub fn figure7a(bytes: f64, gpu_counts: &[usize]) -> Vec<AllreducePoint> {
-    gpu_counts
-        .iter()
-        .map(|&gpus| {
-            assert!(gpus % 8 == 0 && gpus >= 16);
-            let hf = hfreduce_steady(
-                &ClusterConfig::fire_flyer(gpus / 8),
-                bytes,
-                &HfReduceOptions::default(),
-            );
-            AllreducePoint {
-                gpus,
-                hfreduce_bps: hf.algbw_bps,
-                nccl_bps: ring_analytic_bw(gpus, bytes),
-            }
-        })
-        .collect()
-}
-
-/// One Figure 7b point: the NVLink variant, optionally cross-zone.
-pub fn figure7b_point(gpus: usize, bytes: f64, cross_zone: bool) -> f64 {
-    let cfg = ClusterConfig {
-        two_zone: cross_zone,
-        ..ClusterConfig::fire_flyer_nvlink(gpus / 8)
-    };
-    hfreduce_steady(
-        &cfg,
-        bytes,
-        &HfReduceOptions {
-            variant: HfReduceVariant::NvLink,
-            ..Default::default()
-        },
-    )
-    .algbw_bps
-}
-
-/// One point of a training-scaling series.
-#[derive(Debug, Clone)]
-pub struct TrainingPoint {
-    /// Total GPUs.
-    pub gpus: usize,
-    /// Step time, seconds (the compared system).
-    pub step_s: f64,
-    /// Baseline step time, seconds (PyTorch / reference), when applicable.
-    pub baseline_s: Option<f64>,
-}
-
-/// Figure 8a: VGG16 DDP weak scaling, HaiScale vs Torch.
-pub fn figure8a(gpu_counts: &[usize], batch_per_gpu: usize) -> Vec<TrainingPoint> {
-    let m = TrainModel::vgg16();
-    gpu_counts
-        .iter()
-        .map(|&gpus| TrainingPoint {
-            gpus,
-            step_s: ddp_step(&m, gpus, batch_per_gpu, DdpBackend::HaiScale).total_s(),
-            baseline_s: Some(ddp_step(&m, gpus, batch_per_gpu, DdpBackend::TorchNccl).total_s()),
-        })
-        .collect()
-}
-
-/// Figure 9a: LLaMa-13B pipeline strong scaling at the paper's config.
-pub fn figure9a(gpu_counts: &[usize]) -> Vec<TrainingPoint> {
-    let m = TrainModel::llama_13b();
-    let cfg = PipelineConfig::llama_13b_paper();
-    gpu_counts
-        .iter()
-        .map(|&gpus| TrainingPoint {
-            gpus,
-            step_s: pipeline_step(&m, &cfg, gpus).total_s(),
-            baseline_s: None,
-        })
-        .collect()
-}
-
-/// Figure 9b: DeepSeekMoE-16B strong scaling at the paper's config.
-pub fn figure9b(gpu_counts: &[usize]) -> Vec<TrainingPoint> {
-    let m = TrainModel::deepseek_moe_16b();
-    let cfg = MoeConfig::deepseek_moe_16b_paper();
-    gpu_counts
-        .iter()
-        .map(|&gpus| TrainingPoint {
-            gpus,
-            step_s: moe_step(&m, &cfg, gpus).total_s(),
-            baseline_s: None,
-        })
-        .collect()
-}
+//! Shape checks on the paper's experiment series, computed straight from
+//! the models the `ff-bench` claims registry measures. Test-only: the
+//! registry (`ff_bench::claims`) is the one place the series are produced.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ff_haiscale::ddp::{ddp_step, DdpBackend};
+    use ff_haiscale::models::TrainModel;
+    use ff_haiscale::moe::{moe_step, MoeConfig};
+    use ff_haiscale::pipeline::{pipeline_step, PipelineConfig};
+    use ff_reduce::model::{hfreduce_steady, HfReduceOptions, HfReduceVariant};
+    use ff_reduce::ring::ring_analytic_bw;
+    use ff_reduce::ClusterConfig;
 
     const MIB: f64 = 1024.0 * 1024.0;
 
+    /// Plain HFReduce algorithm bandwidth on `gpus / 8` zone-local nodes.
+    fn hfreduce_bps(gpus: usize, bytes: f64) -> f64 {
+        let cfg = ClusterConfig::fire_flyer(gpus / 8);
+        hfreduce_steady(&cfg, bytes, &HfReduceOptions::default()).algbw_bps
+    }
+
     #[test]
     fn figure7a_series_shape() {
-        let pts = figure7a(64.0 * MIB, &[16, 64, 128]);
-        assert_eq!(pts.len(), 3);
-        for p in &pts {
-            assert!(p.hfreduce_bps > p.nccl_bps, "{} GPUs", p.gpus);
+        let gpus = [16, 64, 128];
+        let hf = gpus.map(|g| hfreduce_bps(g, 64.0 * MIB));
+        let nccl = gpus.map(|g| ring_analytic_bw(g, 64.0 * MIB));
+        for i in 0..gpus.len() {
+            assert!(hf[i] > nccl[i], "{} GPUs", gpus[i]);
         }
         // NCCL declines; HFReduce roughly flat.
-        assert!(pts[2].nccl_bps < pts[0].nccl_bps);
-        assert!(pts[2].hfreduce_bps > pts[0].hfreduce_bps * 0.8);
+        assert!(nccl[2] < nccl[0]);
+        assert!(hf[2] > hf[0] * 0.8);
     }
 
     #[test]
     fn figure7b_cross_zone_still_above_plain() {
-        let nvl = figure7b_point(32, 64.0 * MIB, true);
-        let plain = figure7a(64.0 * MIB, &[32])[0].hfreduce_bps;
+        let cfg = ClusterConfig {
+            two_zone: true,
+            ..ClusterConfig::fire_flyer_nvlink(4)
+        };
+        let opts = HfReduceOptions {
+            variant: HfReduceVariant::NvLink,
+            ..Default::default()
+        };
+        let nvl = hfreduce_steady(&cfg, 64.0 * MIB, &opts).algbw_bps;
+        let plain = hfreduce_bps(32, 64.0 * MIB);
         assert!(nvl > plain, "{nvl} vs {plain}");
     }
 
     #[test]
     fn training_series_monotone() {
-        let s9a = figure9a(&[64, 128, 256, 512]);
-        assert!(s9a.windows(2).all(|w| w[1].step_s < w[0].step_s));
-        let s9b = figure9b(&[40, 80, 320, 640]);
-        assert!(s9b.windows(2).all(|w| w[1].step_s < w[0].step_s));
-        let s8a = figure8a(&[32, 512], 32);
-        assert!(s8a[0].baseline_s.unwrap() > s8a[0].step_s);
+        let (llama, pp) = (TrainModel::llama_13b(), PipelineConfig::llama_13b_paper());
+        let s9a = [64, 128, 256, 512].map(|g| pipeline_step(&llama, &pp, g).total_s());
+        assert!(s9a.windows(2).all(|w| w[1] < w[0]), "{s9a:?}");
+        let (moe, ep) = (
+            TrainModel::deepseek_moe_16b(),
+            MoeConfig::deepseek_moe_16b_paper(),
+        );
+        let s9b = [40, 80, 320, 640].map(|g| moe_step(&moe, &ep, g).total_s());
+        assert!(s9b.windows(2).all(|w| w[1] < w[0]), "{s9b:?}");
+        let vgg = TrainModel::vgg16();
+        let torch = ddp_step(&vgg, 32, 32, DdpBackend::TorchNccl).total_s();
+        let haiscale = ddp_step(&vgg, 32, 32, DdpBackend::HaiScale).total_s();
+        assert!(torch > haiscale, "{torch} vs {haiscale}");
     }
 }

@@ -35,3 +35,6 @@ pub use ff_obs as obs;
 pub use ff_platform as platform;
 pub use ff_reduce as reduce;
 pub use ff_topo as topo;
+
+#[cfg(test)]
+mod experiments;
