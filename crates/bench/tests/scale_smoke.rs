@@ -9,7 +9,8 @@
 //! workspace test run skips them via the `ignore` attribute.
 
 use ff_bench::claims::{fig7_hfreduce, render, zone_spread, Claim, CLAIMS};
-use ff_reduce::model::HfReduceVariant;
+use ff_reduce::model::{hfreduce_time, HfReduceOptions, HfReduceVariant};
+use ff_reduce::{ClusterConfig, ClusterModel};
 use ff_topo::routing::RoutePolicy;
 use std::sync::OnceLock;
 
@@ -49,6 +50,47 @@ fn fig7a_10000_gpu_point_is_pinned_and_in_band() {
         format!("{gbps:.3}"),
         "7.928",
         "10,000-GPU HFReduce bandwidth moved off its pinned value"
+    );
+}
+
+/// The two fits behind the 10,000-GPU point, at 3 and 6 chunks of
+/// 186 MiB on the full cluster: both simulated times bit for bit, and the
+/// solver's thread-invariant effort summed over the two runs. A solver
+/// change that keeps the bits but moves the component partition shows up
+/// here as a moved `components` or `flow_solves` count.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "1,250-node cluster simulation: run with --release"
+)]
+fn fig7a_10000_gpu_fits_keep_their_bits_and_solver_effort() {
+    let mut bits = Vec::new();
+    let mut totals = [0u64; 6];
+    for chunks in [3, 6] {
+        let mut cluster = ClusterModel::build(&ClusterConfig::fire_flyer_full());
+        let opts = HfReduceOptions {
+            chunks,
+            ..Default::default()
+        };
+        let r = hfreduce_time(&mut cluster, 186.0 * 1024.0 * 1024.0, &opts);
+        bits.push(format!("{:016x}", r.seconds.to_bits()));
+        let s = cluster.fluid.solver_stats();
+        let run = [
+            s.recomputes,
+            s.components,
+            s.empty_components,
+            s.flow_solves,
+            s.fill_rounds,
+            s.events(),
+        ];
+        for (t, v) in totals.iter_mut().zip(run) {
+            *t += v;
+        }
+    }
+    assert_eq!(bits, ["3fb31ecfdbc25572", "3fa88b57a648ee4a"]);
+    assert_eq!(
+        totals,
+        [15_203, 502_002, 435_149, 11_414_507, 221_413, 472_428]
     );
 }
 

@@ -22,15 +22,23 @@
 //!
 //! The allocation decomposes exactly by connected components of the
 //! flow↔resource bipartite graph: a flow's rate depends only on flows it
-//! (transitively) shares a resource with. The engine therefore keeps a
-//! per-resource index of crossing flows and, on a start/finish/degrade/cap
-//! event, re-solves only the components reachable from the touched
-//! resources. Flow progress is settled lazily — `remaining` is decremented
-//! only when a flow's rate actually changes — and completions pop from
-//! per-zone binary heaps keyed by predicted finish time, with stale entries
-//! invalidated by a per-flow epoch counter. At 10,000-GPU scale this
-//! replaces an O(flows × resources) global recompute per event with work
-//! proportional to the disturbed component.
+//! (transitively) shares a resource with. The engine therefore keeps every
+//! component between recomputes — its resources, and its flows' routes
+//! compiled to CSR rows in flow-id order — and each resource knows its
+//! component. Structural events edit them: a start appends a row (flow ids
+//! are monotonic, so order holds), and a route that bridges components
+//! joins them, their rows interleaved by flow id at the next recompute; a
+//! finish or cancel leaves a tombstone. A recompute re-solves only the
+//! components holding a touched resource. Each one that lost flows is
+//! first closed up over its tombstones and checked for a split by one
+//! union-find pass over its own rows, so no recompute walks the crossing
+//! relation or compiles routes again. Flow progress is settled lazily —
+//! `remaining` is decremented only when a flow's rate actually changes —
+//! and completions pop from per-zone binary heaps keyed by predicted
+//! finish time, with stale entries invalidated by a per-flow epoch
+//! counter. At 10,000-GPU scale this replaces an O(flows × resources)
+//! global recompute per event with work proportional to the disturbed
+//! component.
 //!
 //! ## Memory layout
 //!
@@ -47,14 +55,15 @@
 //!   cached effective capacity, instantaneous load and the crossing-flow
 //!   index are parallel `Vec`s indexed by resource id; rarely-touched
 //!   fields (name, statistics) live in a separate cold array.
-//! * Each resource's crossing-flow index is a `(flow id, slot)` vector
-//!   kept sorted by flow id — flow ids are monotonic, so insertion is an
-//!   O(1) push — preserving the exact iteration order the old
-//!   `BTreeSet<FlowId>` index provided.
-//! * A component solve compiles its flows' routes into a CSR triple
-//!   (offsets / local resource ids / weights) in reusable scratch, and the
-//!   water-fill kernel runs on that — no per-solve allocation on the
-//!   serial path.
+//! * Each persistent component holds its rows as a CSR triple (offsets /
+//!   component-local resource ids / weights) beside its resource list and
+//!   its `(flow id, slot)` pairs. A solve refreshes the capacities and runs
+//!   the water-fill kernel on the triple as it stands: no walk, no
+//!   compile, no per-solve allocation on the serial path.
+//! * Per resource, only a crossing count is kept. The fid-sorted
+//!   crossing-flow lists (slot vectors — flow ids are monotonic, so
+//!   insertion is an O(1) push) are [`SolverMode::Reference`]'s, which
+//!   walks and compiles every component from them.
 //!
 //! ## Component-parallel solving
 //!
@@ -62,10 +71,10 @@
 //! solve them on the [`ff_util::par`] worker pool. Determinism is by
 //! construction, not by luck:
 //!
-//! * each component is *extracted* into an owned problem (capacities +
-//!   CSR routes) and solved by a pure function — workers share no mutable
-//!   state and perform the bit-identical fill arithmetic the serial path
-//!   uses;
+//! * each component's compiled problem (capacities + CSR routes) is moved
+//!   into its job and back, and solved by a pure function — workers share
+//!   no mutable state and perform the bit-identical fill arithmetic the
+//!   serial path uses;
 //! * results are merged **serially**, in the deterministic component
 //!   order (components discovered from dirty seeds sorted by smallest
 //!   resource id), so every heap push, epoch bump and statistics update
@@ -74,8 +83,8 @@
 //!   ascending by id, hops in normalized route order — and no float
 //!   operation is reassociated; resource-indexed state only feeds
 //!   order-independent operations (exact min reductions, sticky flags),
-//!   so the deterministic BFS discovery order of resources is free to
-//!   differ from id order.
+//!   so a component's local resource numbering (arrival order here, BFS
+//!   discovery order in Reference mode) is free to differ from id order.
 //!
 //! The same seed therefore produces the same trace digest at 1, 2, or N
 //! threads ([`set_threads`](FluidSim::set_threads)), and observability
@@ -83,12 +92,13 @@
 //! [`Recorder`] — only the merge thread does, after the join.
 //!
 //! [`SolverMode::Reference`] disables the incremental machinery (every
-//! component is re-solved every time and the next completion is found by
-//! linear scan) while sharing the identical per-component fill arithmetic;
+//! component is walked, compiled and re-solved from scratch every time and
+//! the next completion is found by linear scan) while sharing the
+//! identical per-component fill arithmetic;
 //! the differential suite in `desim/tests/fluid_diff.rs` holds the modes
 //! bit-exactly equal on thousands of seeded random schedules.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
@@ -365,8 +375,8 @@ struct ObsSink {
     offset_ns: u64,
 }
 
-/// An extracted, owned component subproblem: effective capacities of the
-/// component's resources (ascending id order) and the member flows' routes
+/// A compiled, owned component subproblem: effective capacities of the
+/// component's resources (in local-id order) and the member flows' routes
 /// (ascending flow-id order) compiled to CSR over local resource indices.
 /// Pure data — solving it cannot observe or mutate simulator state, which
 /// is what makes the parallel path trivially deterministic.
@@ -501,10 +511,10 @@ fn water_fill(p: &CompProblem, rates: &mut Vec<f64>, s: &mut FillScratch) -> u64
     rounds
 }
 
-/// Pool entry point: solve one extracted component. A pure `fn` so the
+/// Pool entry point: solve one compiled component. A pure `fn` so the
 /// worker pool can ship it without capturing any simulator state. The
-/// problem rides back with the result — the merge step reuses its CSR to
-/// refresh loads.
+/// problem rides back with the result, to its component — the merge step
+/// reuses its CSR to refresh loads.
 fn solve_problem(p: CompProblem) -> (CompProblem, Vec<f64>, u64) {
     let mut rates = Vec::new();
     let mut scratch = FillScratch::default();
@@ -512,10 +522,10 @@ fn solve_problem(p: CompProblem) -> (CompProblem, Vec<f64>, u64) {
     (p, rates, rounds)
 }
 
-/// Compile a component into CSR form. `comp_flows` must be sorted
-/// ascending by flow id, and `res_local` populated for every resource in
-/// `comp_res` (the global-id → local-index scatter table, making each hop
-/// an O(1) lookup).
+/// Compile a from-scratch component into CSR form ([`SolverMode::Reference`]
+/// only). `comp_flows` must be sorted ascending by flow id, and `res_local`
+/// populated for every resource in `comp_res` (the global-id → local-index
+/// scatter table, making each hop an O(1) lookup).
 fn build_problem(
     comp_res: &[u32],
     comp_flows: &[(u64, u32)],
@@ -543,17 +553,73 @@ fn build_problem(
     }
 }
 
-/// One collected component: ranges into the shared flat buffers, plus its
-/// total route-hop count (the cost model for parallel lane packing).
-#[derive(Clone, Copy)]
-struct CompRange {
-    res: (u32, u32),
-    flows: (u32, u32),
-    hops: u64,
+/// Sentinel component id: no active flow crosses the resource.
+const NO_COMP: u32 = u32::MAX;
+
+/// One connected component of the flow↔resource graph, compiled for the
+/// fill. [`SolverMode::Incremental`] keeps these between recomputes and
+/// edits them as flows come and go; [`SolverMode::Reference`] builds a
+/// fresh one per component per recompute.
+#[derive(Default)]
+struct Component {
+    /// Member resources by global id; a resource's position here is its
+    /// local id in `prob`.
+    res: Vec<u32>,
+    /// Member flows as `(fid, slot)`, ascending by fid — the fill order —
+    /// one per CSR row of `prob`. A row whose fid is on `dead` is a
+    /// tombstone, dropped at the next recompute.
+    flows: Vec<(u64, u32)>,
+    /// The rows compiled to CSR over local resource ids. `caps` is
+    /// refreshed from the effective capacities each time the component is
+    /// listed for a solve.
+    prob: CompProblem,
+    /// Components a new flow bridged into this one since the last
+    /// recompute. Their resources already live here (and their rows use
+    /// this component's local ids), but their rows are interleaved into
+    /// fid order only at the next recompute.
+    absorbed: Vec<u32>,
+    /// Fids of member flows that finished or were cancelled since the
+    /// last recompute: drop their rows and check for a split.
+    dead: Vec<u64>,
+    /// Already listed for solving in the current recompute.
+    listed: bool,
+}
+
+impl Component {
+    /// Append one row (its hops given as local ids), keeping CSR shape.
+    fn push_row(&mut self, fid: u64, slot: u32, hops: impl Iterator<Item = (u32, f64)>) {
+        if self.prob.off.is_empty() {
+            self.prob.off.push(0);
+        }
+        self.flows.push((fid, slot));
+        for (r, w) in hops {
+            self.prob.hop_res.push(r);
+            self.prob.hop_w.push(w);
+        }
+        self.prob.off.push(self.prob.hop_res.len() as u32);
+    }
+}
+
+/// One solve of a recompute: a resource no flow crosses (its load drops
+/// to zero), or a component to fill. `Comp` carries the component's id in
+/// the persistent table (`NO_COMP` for a from-scratch one) and the
+/// component itself, moved out for the duration of the solve.
+enum Unit {
+    Empty(u32),
+    Comp(u32, Component),
+}
+
+/// Root of `x` in a union-find forest, halving the path on the way.
+fn uf_find(uf: &mut [u32], mut x: u32) -> u32 {
+    while uf[x as usize] != x {
+        uf[x as usize] = uf[uf[x as usize] as usize];
+        x = uf[x as usize];
+    }
+    x
 }
 
 /// Default total-hop-count threshold above which a multi-component
-/// recompute is dispatched to the worker pool. Extraction and merge cost
+/// recompute is dispatched to the worker pool. Dispatch and merge cost
 /// a few hundred nanoseconds per flow, so small recomputes (the common
 /// per-event case) stay inline.
 const DEFAULT_PAR_THRESHOLD: u64 = 16 * 1024;
@@ -589,17 +655,28 @@ pub struct FluidSim {
     /// Instantaneous aggregate load (Σ rate×weight), maintained at each
     /// recompute that touches this resource's component.
     res_load: Vec<f64>,
-    /// Active flows whose routes cross this resource, as slot indices
-    /// sorted ascending by flow id (slots carry the fid) — the index that
-    /// lets the solver walk connected components without scanning all
-    /// flows. Slot-only entries keep the hottest BFS scan at 4 bytes per
-    /// crossing.
+    /// Number of active flows whose routes cross this resource.
+    res_nflows: Vec<u32>,
+    /// Reference mode: the active flows crossing this resource, as slot
+    /// indices sorted ascending by flow id (slots carry the fid) — the
+    /// index the from-scratch walk collects components from. Incremental
+    /// mode keeps it empty: its components' rows are the crossing index.
     res_flows: Vec<Vec<u32>>,
     /// On the pending-recompute dirty list (dedup for `FluidSim::dirty`).
     res_dirty: Vec<bool>,
     /// BFS scratch for component collection; always false between
     /// recomputes.
     res_visited: Vec<bool>,
+    /// Incremental mode: the persistent component holding this resource,
+    /// [`NO_COMP`] exactly when no active flow crosses it (as of the last
+    /// recompute; a resource whose last flow left since is dropped at the
+    /// next one).
+    res_comp: Vec<u32>,
+    /// Global resource id → component-local index. Incremental mode: the
+    /// resource's position in its component. Reference mode: a scatter
+    /// table repopulated per component, turning the CSR build into O(1)
+    /// per hop.
+    res_local: Vec<u32>,
     res_cold: Vec<ResourceCold>,
     // ---- flows: slot arena + id index ----
     slots: Vec<FlowSlot>,
@@ -630,16 +707,16 @@ pub struct FluidSim {
     /// Minimum total hop count before a recompute goes parallel.
     par_threshold: u64,
     stats: SolverStats,
+    /// Incremental mode: the persistent components, indexed by the ids
+    /// in `res_comp`, with vacated ids on `comp_free`.
+    comps: Vec<Component>,
+    comp_free: Vec<u32>,
     // ---- reusable scratch ----
-    comp_res_buf: Vec<u32>,
-    comp_flow_buf: Vec<(u64, u32)>,
+    units: Vec<Unit>,
     bfs_stack: Vec<u32>,
-    /// Global-resource-id → component-local index scatter table, sized to
-    /// the resource count and repopulated per component, turning the CSR
-    /// build and the load refresh into O(1)-per-hop scatters.
-    res_local: Vec<u32>,
+    /// Per-local-resource scratch for `rebuild_component`.
+    comp_scratch: Vec<u32>,
     load_buf: Vec<f64>,
-    problem: CompProblem,
     fill: FillScratch,
     rates_buf: Vec<f64>,
     obs: Option<ObsSink>,
@@ -667,9 +744,12 @@ impl FluidSim {
             res_degrade: Vec::new(),
             res_eff_cap: Vec::new(),
             res_load: Vec::new(),
+            res_nflows: Vec::new(),
             res_flows: Vec::new(),
             res_dirty: Vec::new(),
             res_visited: Vec::new(),
+            res_comp: Vec::new(),
+            res_local: Vec::new(),
             res_cold: Vec::new(),
             slots: Vec::new(),
             route_arena: Vec::new(),
@@ -684,12 +764,12 @@ impl FluidSim {
             threads: 0,
             par_threshold: DEFAULT_PAR_THRESHOLD,
             stats: SolverStats::default(),
-            comp_res_buf: Vec::new(),
-            comp_flow_buf: Vec::new(),
+            comps: Vec::new(),
+            comp_free: Vec::new(),
+            units: Vec::new(),
             bfs_stack: Vec::new(),
-            res_local: Vec::new(),
+            comp_scratch: Vec::new(),
             load_buf: Vec::new(),
-            problem: CompProblem::default(),
             fill: FillScratch::default(),
             rates_buf: Vec::new(),
             obs: None,
@@ -787,12 +867,6 @@ impl FluidSim {
         self.res_capacity.len()
     }
 
-    /// The `i`-th resource (ids are dense, `0..resource_count()`).
-    pub fn resource_at(&self, i: usize) -> ResourceId {
-        assert!(i < self.res_capacity.len());
-        ResourceId(i as u32)
-    }
-
     /// Register a resource with `capacity` units/second (must be positive
     /// and finite). `name` appears in statistics reports.
     pub fn add_resource(&mut self, name: impl Into<String>, capacity: f64) -> ResourceId {
@@ -806,9 +880,12 @@ impl FluidSim {
         self.res_degrade.push(1.0);
         self.res_eff_cap.push(capacity);
         self.res_load.push(0.0);
+        self.res_nflows.push(0);
         self.res_flows.push(Vec::new());
         self.res_dirty.push(false);
         self.res_visited.push(false);
+        self.res_comp.push(NO_COMP);
+        self.res_local.push(0);
         self.res_cold.push(ResourceCold {
             name: name.into(),
             stats: ResourceStats::default(),
@@ -972,11 +1049,14 @@ impl FluidSim {
             }
         };
         for &(r, _) in &normalized {
-            debug_assert!(self.res_flows[r.0 as usize]
-                .last()
-                .is_none_or(|&s| self.slots[s as usize].fid < fid));
-            // Flow ids are monotonic, so the fid-sorted index appends.
-            self.res_flows[r.0 as usize].push(slot);
+            self.res_nflows[r.0 as usize] += 1;
+            if self.mode == SolverMode::Reference {
+                debug_assert!(self.res_flows[r.0 as usize]
+                    .last()
+                    .is_none_or(|&s| self.slots[s as usize].fid < fid));
+                // Flow ids are monotonic, so the fid-sorted index appends.
+                self.res_flows[r.0 as usize].push(slot);
+            }
             self.mark_dirty(r);
         }
         let n = u32::try_from(normalized.len()).expect("route too long");
@@ -1007,33 +1087,120 @@ impl FluidSim {
         f.epoch = 0;
         let id = FlowId(fid);
         self.index.insert(id, slot);
+        if self.mode == SolverMode::Incremental {
+            self.join_component(fid, slot, &normalized);
+        }
         self.stats.flow_starts += 1;
         id
     }
 
-    /// Drop `id` from every per-resource crossing index and mark those
-    /// resources dirty.
+    /// Append a new flow's row to the component its route touches
+    /// (Incremental mode). Flow ids are monotonic, so the append keeps the
+    /// rows in fid order. A route over resources no flow crosses opens a
+    /// new component; one that bridges several components absorbs the
+    /// smaller ones into the largest, whose rows are interleaved with
+    /// theirs at the next recompute.
+    fn join_component(&mut self, fid: u64, slot: u32, route: &[(ResourceId, f64)]) {
+        let mut root = NO_COMP;
+        for &(r, _) in route {
+            let c = self.res_comp[r.0 as usize];
+            if c != NO_COMP && c != root {
+                root = if root == NO_COMP {
+                    c
+                } else {
+                    self.absorb(root, c)
+                };
+            }
+        }
+        if root == NO_COMP {
+            root = self.new_comp();
+        }
+        let comp = &mut self.comps[root as usize];
+        for &(r, _) in route {
+            let ri = r.0 as usize;
+            if self.res_comp[ri] == NO_COMP {
+                self.res_comp[ri] = root;
+                self.res_local[ri] = comp.res.len() as u32;
+                comp.res.push(r.0);
+            }
+        }
+        let res_local = &self.res_local;
+        comp.push_row(
+            fid,
+            slot,
+            route.iter().map(|&(r, w)| (res_local[r.0 as usize], w)),
+        );
+    }
+
+    /// Fold components `a` and `b` into one; returns the survivor, the
+    /// one with more resources. The other's resources move to the end of
+    /// the survivor's list and its rows (and those of anything it had
+    /// absorbed) are renumbered to match, then wait on the survivor's
+    /// `absorbed` list for the fid-order merge at the next recompute.
+    fn absorb(&mut self, a: u32, b: u32) -> u32 {
+        let (root, gone) = if self.comps[a as usize].res.len() >= self.comps[b as usize].res.len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let mut g = std::mem::take(&mut self.comps[gone as usize]);
+        let mut r = std::mem::take(&mut self.comps[root as usize]);
+        let offset = r.res.len() as u32;
+        for &ri in &g.res {
+            self.res_comp[ri as usize] = root;
+            self.res_local[ri as usize] += offset;
+        }
+        r.res.append(&mut g.res);
+        for h in &mut g.prob.hop_res {
+            *h += offset;
+        }
+        for &x in &g.absorbed {
+            for h in &mut self.comps[x as usize].prob.hop_res {
+                *h += offset;
+            }
+        }
+        r.absorbed.push(gone);
+        r.absorbed.append(&mut g.absorbed);
+        r.dead.append(&mut g.dead);
+        self.comps[gone as usize] = g;
+        self.comps[root as usize] = r;
+        root
+    }
+
+    /// Drop `id` from the crossing counts and from its component (or, in
+    /// Reference mode, from every per-resource crossing index), and mark
+    /// its resources dirty.
     fn unlink_flow(&mut self, id: FlowId, slot: u32) {
         let (a, b) = {
             let f = &self.slots[slot as usize];
             (f.r_start as usize, (f.r_start + f.r_len) as usize)
         };
-        {
-            // The lists are fid-sorted and every listed slot (including the
-            // one being unlinked — its fid clears below) still carries a
-            // live fid, so binary search through the slot arena works.
-            let slots = &self.slots;
-            let arena = &self.route_arena;
-            for &(r, _) in &arena[a..b] {
-                let list = &mut self.res_flows[r.0 as usize];
-                let i = list
-                    .binary_search_by_key(&id.0, |&s| slots[s as usize].fid)
-                    .expect("flow indexed on its route");
-                list.remove(i);
+        match self.mode {
+            SolverMode::Incremental => {
+                // The row stays behind as a tombstone until the next
+                // recompute.
+                let c = self.res_comp[self.route_arena[a].0 .0 as usize];
+                self.comps[c as usize].dead.push(id.0);
+            }
+            SolverMode::Reference => {
+                // The lists are fid-sorted and every listed slot (including
+                // the one being unlinked — its fid clears below) still
+                // carries a live fid, so binary search through the slot
+                // arena works.
+                let slots = &self.slots;
+                for &(r, _) in &self.route_arena[a..b] {
+                    let list = &mut self.res_flows[r.0 as usize];
+                    let i = list.binary_search_by_key(&id.0, |&s| slots[s as usize].fid);
+                    debug_assert!(i.is_ok(), "flow indexed on its route");
+                    if let Ok(i) = i {
+                        list.remove(i);
+                    }
+                }
             }
         }
         for h in a..b {
             let r = self.route_arena[h].0;
+            self.res_nflows[r.0 as usize] -= 1;
             self.mark_dirty(r);
         }
         let f = &mut self.slots[slot as usize];
@@ -1197,10 +1364,10 @@ impl FluidSim {
         self.res_load[r.0 as usize]
     }
 
-    /// Number of active flows crossing `r`. O(1) via the per-resource flow
-    /// index (a route crossing `r` twice still counts as one flow).
+    /// Number of active flows crossing `r`. O(1): the count is kept per
+    /// resource (a route crossing `r` twice still counts as one flow).
     pub fn flows_through(&self, r: ResourceId) -> usize {
-        self.res_flows[r.0 as usize].len()
+        self.res_nflows[r.0 as usize] as usize
     }
 
     /// Put `r` on the dirty list (deduplicated) and flag rates stale.
@@ -1240,140 +1407,39 @@ impl FluidSim {
         for &r in &seeds {
             self.res_dirty[r.0 as usize] = false;
         }
+        // Phase 1: list what to solve, each component at its smallest
+        // dirty seed (serial — it edits the component tables).
+        let mut units = std::mem::take(&mut self.units);
         match self.mode {
-            SolverMode::Incremental => seeds.sort_unstable(),
-            SolverMode::Reference => {
-                seeds.clear();
-                seeds.extend((0..self.res_capacity.len() as u32).map(ResourceId));
+            SolverMode::Incremental => {
+                seeds.sort_unstable();
+                self.list_cached(&seeds, &mut units);
             }
-        }
-        // Phase 1: collect all dirty components into the shared flat
-        // buffers (serial — the BFS is cheap and wants the index).
-        let mut comp_res = std::mem::take(&mut self.comp_res_buf);
-        let mut comp_flows = std::mem::take(&mut self.comp_flow_buf);
-        comp_res.clear();
-        comp_flows.clear();
-        let mut comps: Vec<CompRange> = Vec::new();
-        let mut total_hops = 0u64;
-        for &seed in &seeds {
-            if self.res_visited[seed.0 as usize] {
-                continue;
-            }
-            let range = self.collect_component(seed, &mut comp_res, &mut comp_flows);
-            total_hops += range.hops;
-            comps.push(range);
+            SolverMode::Reference => self.list_from_scratch(&mut units),
         }
         seeds.clear();
         self.dirty = seeds;
-        self.stats.components += comps.len() as u64;
-        self.stats.flow_solves += comp_flows.len() as u64;
 
-        // Phase 2: solve. Components are independent; go wide when there
-        // is enough work to amortize extraction, otherwise solve inline
-        // with reusable scratch. Both paths run the identical fill.
-        let width = if self.threads == 0 {
-            par::default_threads()
-        } else {
-            self.threads
-        };
-        let solvable = comps.iter().filter(|c| c.flows.0 != c.flows.1).count();
-        let mut total_rounds = 0u64;
-        if width > 1 && solvable >= 2 && total_hops >= self.par_threshold {
-            self.stats.parallel_batches += 1;
-            let mut res_local = std::mem::take(&mut self.res_local);
-            res_local.resize(self.res_capacity.len(), 0);
-            let mut jobs: Vec<(u64, CompProblem)> = Vec::with_capacity(solvable);
-            let mut job_of: Vec<Option<usize>> = Vec::with_capacity(comps.len());
-            for c in &comps {
-                if c.flows.0 == c.flows.1 {
-                    job_of.push(None);
-                    continue;
-                }
-                let cr = &comp_res[c.res.0 as usize..c.res.1 as usize];
-                for (i, &r) in cr.iter().enumerate() {
-                    res_local[r as usize] = i as u32;
-                }
-                let mut p = CompProblem::default();
-                build_problem(
-                    cr,
-                    &comp_flows[c.flows.0 as usize..c.flows.1 as usize],
-                    &self.slots,
-                    &self.route_arena,
-                    &self.res_eff_cap,
-                    &res_local,
-                    &mut p,
-                );
-                job_of.push(Some(jobs.len()));
-                jobs.push((c.hops.max(1), p));
-            }
-            self.res_local = res_local;
-            let results = par::pool().map_weighted(jobs, width, solve_problem);
-            for (ci, c) in comps.iter().enumerate() {
-                match job_of[ci] {
-                    Some(j) => {
-                        let (p, rates, rounds) = &results[j];
-                        total_rounds += rounds;
-                        self.apply_component(
-                            &comp_res[c.res.0 as usize..c.res.1 as usize],
-                            &comp_flows[c.flows.0 as usize..c.flows.1 as usize],
-                            rates,
-                            Some(p),
-                        );
-                    }
-                    None => {
-                        self.stats.empty_components += 1;
-                        self.apply_component(
-                            &comp_res[c.res.0 as usize..c.res.1 as usize],
-                            &[],
-                            &[],
-                            None,
-                        );
-                    }
-                }
-            }
-        } else {
-            for c in &comps {
-                let cr = &comp_res[c.res.0 as usize..c.res.1 as usize];
-                let cf = &comp_flows[c.flows.0 as usize..c.flows.1 as usize];
-                if cf.is_empty() {
-                    self.stats.empty_components += 1;
-                    self.apply_component(cr, &[], &[], None);
-                    continue;
-                }
-                let mut problem = std::mem::take(&mut self.problem);
-                let mut fill = std::mem::take(&mut self.fill);
-                let mut rates = std::mem::take(&mut self.rates_buf);
-                let mut res_local = std::mem::take(&mut self.res_local);
-                res_local.resize(self.res_capacity.len(), 0);
-                for (i, &r) in cr.iter().enumerate() {
-                    res_local[r as usize] = i as u32;
-                }
-                build_problem(
-                    cr,
-                    cf,
-                    &self.slots,
-                    &self.route_arena,
-                    &self.res_eff_cap,
-                    &res_local,
-                    &mut problem,
-                );
-                self.res_local = res_local;
-                total_rounds += water_fill(&problem, &mut rates, &mut fill);
-                self.apply_component(cr, cf, &rates, Some(&problem));
-                self.problem = problem;
-                self.fill = fill;
-                self.rates_buf = rates;
-            }
-        }
+        // Phase 2: solve and apply.
+        let total_rounds = self.solve_units(&mut units);
         self.stats.fill_rounds += total_rounds;
 
-        // Phase 3: clear BFS marks and publish effort counters (merge
-        // thread only — workers never touch the recorder).
-        for &ri in comp_res.iter() {
-            self.res_visited[ri as usize] = false;
+        // Phase 3: hand the cached components back (Reference mode drops
+        // its from-scratch ones and clears the walk's marks), and publish
+        // effort counters (merge thread only — workers never touch the
+        // recorder).
+        for u in units.drain(..) {
+            if let Unit::Comp(c, mut comp) = u {
+                if c != NO_COMP {
+                    comp.listed = false;
+                    self.comps[c as usize] = comp;
+                }
+            }
         }
-        self.comp_res_buf = comp_res;
-        self.comp_flow_buf = comp_flows;
+        self.units = units;
+        if self.mode == SolverMode::Reference {
+            self.res_visited.fill(false);
+        }
         if total_rounds > 0 {
             if let Some(obs) = &self.obs {
                 obs.rec
@@ -1382,21 +1448,347 @@ impl FluidSim {
         }
     }
 
+    /// Incremental mode: bring each dirty component up to date and list
+    /// it at its smallest dirty seed; a seed no flow crosses is listed on
+    /// its own. The listed components are then moved out for the solve,
+    /// with their capacities refreshed.
+    fn list_cached(&mut self, seeds: &[ResourceId], units: &mut Vec<Unit>) {
+        for &seed in seeds {
+            let ri = seed.0 as usize;
+            let mut c = self.res_comp[ri];
+            if c != NO_COMP && !self.comps[c as usize].listed {
+                if !self.comps[c as usize].absorbed.is_empty() {
+                    self.merge_absorbed(c);
+                }
+                if !self.comps[c as usize].dead.is_empty() {
+                    self.rebuild_component(c);
+                }
+                c = self.res_comp[ri];
+            }
+            if c == NO_COMP {
+                units.push(Unit::Empty(seed.0));
+            } else if !self.comps[c as usize].listed {
+                self.comps[c as usize].listed = true;
+                units.push(Unit::Comp(c, Component::default()));
+            }
+        }
+        for u in units.iter_mut() {
+            if let Unit::Comp(c, comp) = u {
+                *comp = std::mem::take(&mut self.comps[*c as usize]);
+                let eff_cap = &self.res_eff_cap;
+                comp.prob.caps.clear();
+                comp.prob
+                    .caps
+                    .extend(comp.res.iter().map(|&r| eff_cap[r as usize]));
+            }
+        }
+    }
+
+    /// Reference mode: walk and compile every component from the
+    /// per-resource flow lists, in resource-id order.
+    fn list_from_scratch(&mut self, units: &mut Vec<Unit>) {
+        let mut res_local = std::mem::take(&mut self.res_local);
+        for ri in 0..self.res_capacity.len() {
+            if self.res_visited[ri] {
+                continue;
+            }
+            let mut comp = Component::default();
+            self.collect_component(ResourceId(ri as u32), &mut comp.res, &mut comp.flows);
+            if comp.flows.is_empty() {
+                units.push(Unit::Empty(ri as u32));
+                continue;
+            }
+            for (i, &r) in comp.res.iter().enumerate() {
+                res_local[r as usize] = i as u32;
+            }
+            build_problem(
+                &comp.res,
+                &comp.flows,
+                &self.slots,
+                &self.route_arena,
+                &self.res_eff_cap,
+                &res_local,
+                &mut comp.prob,
+            );
+            units.push(Unit::Comp(NO_COMP, comp));
+        }
+        self.res_local = res_local;
+    }
+
+    /// Solve the listed units and apply their rates, in list order;
+    /// returns the fill rounds. Components are independent: go wide when
+    /// there is enough work to amortize the hand-off (the pool takes each
+    /// component's CSR, moved out and back), otherwise solve inline with
+    /// reusable scratch. Both paths run the identical fill.
+    fn solve_units(&mut self, units: &mut [Unit]) -> u64 {
+        let mut solvable = 0usize;
+        let mut total_hops = 0u64;
+        for u in units.iter() {
+            if let Unit::Comp(_, comp) = u {
+                solvable += 1;
+                total_hops += comp.prob.hop_res.len() as u64;
+                self.stats.flow_solves += comp.flows.len() as u64;
+            }
+        }
+        self.stats.components += units.len() as u64;
+        let width = if self.threads == 0 {
+            par::default_threads()
+        } else {
+            self.threads
+        };
+        let mut total_rounds = 0u64;
+        if width > 1 && solvable >= 2 && total_hops >= self.par_threshold {
+            self.stats.parallel_batches += 1;
+            let mut jobs: Vec<(u64, CompProblem)> = Vec::with_capacity(solvable);
+            for u in units.iter_mut() {
+                if let Unit::Comp(_, comp) = u {
+                    let hops = comp.prob.hop_res.len() as u64;
+                    jobs.push((hops.max(1), std::mem::take(&mut comp.prob)));
+                }
+            }
+            let mut results = par::pool()
+                .map_weighted(jobs, width, solve_problem)
+                .into_iter();
+            for u in units.iter_mut() {
+                let mut rates = Vec::new();
+                if let Unit::Comp(_, comp) = u {
+                    if let Some((p, r, rounds)) = results.next() {
+                        comp.prob = p;
+                        rates = r;
+                        total_rounds += rounds;
+                    }
+                }
+                self.apply_unit(u, &rates);
+            }
+        } else {
+            let mut fill = std::mem::take(&mut self.fill);
+            let mut rates = std::mem::take(&mut self.rates_buf);
+            for u in units.iter() {
+                if let Unit::Comp(_, comp) = u {
+                    total_rounds += water_fill(&comp.prob, &mut rates, &mut fill);
+                }
+                self.apply_unit(u, &rates);
+            }
+            self.fill = fill;
+            self.rates_buf = rates;
+        }
+        total_rounds
+    }
+
+    /// Apply one solved unit: a component's fresh rates, or a lone
+    /// resource's drop to zero load.
+    fn apply_unit(&mut self, u: &Unit, rates: &[f64]) {
+        match u {
+            Unit::Empty(r) => {
+                self.stats.empty_components += 1;
+                self.apply_component(&[*r], &[], &[], None);
+            }
+            Unit::Comp(_, comp) => {
+                self.apply_component(&comp.res, &comp.flows, rates, Some(&comp.prob))
+            }
+        }
+    }
+
+    /// A vacant component id: a recycled one, or a new slot.
+    fn new_comp(&mut self) -> u32 {
+        match self.comp_free.pop() {
+            Some(c) => c,
+            None => {
+                self.comps.push(Component::default());
+                (self.comps.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Interleave the rows of the components absorbed into `c` with its
+    /// own in fid order (each list is fid-sorted already, so this is a
+    /// k-way merge), and vacate the absorbed ids.
+    fn merge_absorbed(&mut self, c: u32) {
+        let mut comp = std::mem::take(&mut self.comps[c as usize]);
+        let mut runs = vec![Component {
+            flows: std::mem::take(&mut comp.flows),
+            prob: std::mem::take(&mut comp.prob),
+            ..Component::default()
+        }];
+        for &x in &comp.absorbed {
+            runs.push(std::mem::take(&mut self.comps[x as usize]));
+        }
+        let rows: usize = runs.iter().map(|run| run.flows.len()).sum();
+        let hops: usize = runs.iter().map(|run| run.prob.hop_res.len()).sum();
+        comp.flows.reserve_exact(rows);
+        comp.prob.off.reserve_exact(rows + 1);
+        comp.prob.hop_res.reserve_exact(hops);
+        comp.prob.hop_w.reserve_exact(hops);
+        let mut next = vec![0usize; runs.len()];
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = runs
+            .iter()
+            .enumerate()
+            .filter_map(|(k, run)| run.flows.first().map(|&(fid, _)| Reverse((fid, k))))
+            .collect();
+        while let Some(Reverse((_, k))) = heads.pop() {
+            let (run, i) = (&runs[k], next[k]);
+            let (fid, slot) = run.flows[i];
+            let p = &run.prob;
+            let (a, b) = (p.off[i] as usize, p.off[i + 1] as usize);
+            comp.push_row(fid, slot, (a..b).map(|h| (p.hop_res[h], p.hop_w[h])));
+            next[k] = i + 1;
+            if let Some(&(fid, _)) = run.flows.get(i + 1) {
+                heads.push(Reverse((fid, k)));
+            }
+        }
+        // Vacated ids hand their memory back: a component's lists are
+        // sized by its largest moment, and keeping them would pin that.
+        self.comp_free.append(&mut comp.absorbed);
+        self.comps[c as usize] = comp;
+    }
+
+    /// Bring component `c` up to date after it lost flows, with one
+    /// union-find pass over its live rows and one rewrite: tombstoned rows
+    /// go, resources no live row crosses leave the component, and what is
+    /// left splits into its connected pieces. The piece holding the
+    /// smallest surviving local id keeps `c`; the others move to fresh
+    /// components. Resources and rows keep their relative order, so every
+    /// piece's rows stay fid-sorted. Vacates `c` if nothing is left.
+    fn rebuild_component(&mut self, c: u32) {
+        let mut comp = std::mem::take(&mut self.comps[c as usize]);
+        comp.dead.sort_unstable();
+        let n = comp.res.len();
+        let mut scratch = std::mem::take(&mut self.comp_scratch);
+        scratch.clear();
+        scratch.resize(4 * n, NO_COMP);
+        // Per local resource: union-find parent (`NO_COMP` while no live
+        // row crosses it), piece, and id within the piece; per piece, its
+        // component id.
+        let (uf, rest) = scratch.split_at_mut(n);
+        let (piece, rest) = rest.split_at_mut(n);
+        let (local, ids) = rest.split_at_mut(n);
+        let p = &comp.prob;
+        let mut dead = comp.dead.iter().peekable();
+        // Resources some live row crosses, and links made between sets.
+        let (mut touched, mut links) = (0usize, 0usize);
+        for (i, &(fid, _)) in comp.flows.iter().enumerate() {
+            if dead.next_if_eq(&&fid).is_some() {
+                continue;
+            }
+            let (a, b) = (p.off[i] as usize, p.off[i + 1] as usize);
+            let mut root = NO_COMP;
+            for &h in &p.hop_res[a..b] {
+                if uf[h as usize] == NO_COMP {
+                    uf[h as usize] = h;
+                    touched += 1;
+                }
+                let x = uf_find(uf, h);
+                if root == NO_COMP {
+                    root = x;
+                } else if x != root {
+                    // Link to the smaller id, so a set's root is its first
+                    // member in local order.
+                    let (lo, hi) = (root.min(x), root.max(x));
+                    uf[hi as usize] = lo;
+                    root = lo;
+                    links += 1;
+                }
+            }
+        }
+        // One piece holding every resource keeps its local ids: the rows
+        // only close up over the tombstones. Otherwise
+        // number the pieces in order of their first resource and move the
+        // resources: `c`'s in place, the others' to fresh components.
+        let renumbered = touched != n || links + 1 != n;
+        if renumbered {
+            let (mut pieces, mut kept) = (0usize, 0usize);
+            for j in 0..n {
+                let r = comp.res[j] as usize;
+                if uf[j] == NO_COMP {
+                    self.res_comp[r] = NO_COMP;
+                    continue;
+                }
+                let root = uf_find(uf, j as u32) as usize;
+                piece[j] = if root == j {
+                    ids[pieces] = if pieces == 0 { c } else { self.new_comp() };
+                    pieces += 1;
+                    (pieces - 1) as u32
+                } else {
+                    piece[root]
+                };
+                let id = ids[piece[j] as usize];
+                if id == c {
+                    local[j] = kept as u32;
+                    comp.res[kept] = r as u32;
+                    kept += 1;
+                } else {
+                    let other = &mut self.comps[id as usize];
+                    local[j] = other.res.len() as u32;
+                    other.res.push(r as u32);
+                    self.res_comp[r] = id;
+                }
+                self.res_local[r] = local[j];
+            }
+            comp.res.truncate(kept);
+        }
+        // Rows follow their first hop's piece; `c`'s are rewritten in
+        // place (the write cursor never passes the read cursor).
+        let mut dead = comp.dead.iter().peekable();
+        let (mut rows, mut hw, mut a) = (0usize, 0usize, 0usize);
+        for i in 0..comp.flows.len() {
+            let p = &mut comp.prob;
+            let b = p.off[i + 1] as usize;
+            let (fid, slot) = comp.flows[i];
+            if dead.next_if_eq(&&fid).is_none() {
+                let id = if renumbered {
+                    ids[piece[p.hop_res[a] as usize] as usize]
+                } else {
+                    c
+                };
+                if id == c {
+                    if renumbered {
+                        for h in a..b {
+                            p.hop_res[hw] = local[p.hop_res[h] as usize];
+                            p.hop_w[hw] = p.hop_w[h];
+                            hw += 1;
+                        }
+                    } else {
+                        p.hop_res.copy_within(a..b, hw);
+                        p.hop_w.copy_within(a..b, hw);
+                        hw += b - a;
+                    }
+                    comp.flows[rows] = (fid, slot);
+                    rows += 1;
+                    p.off[rows] = hw as u32;
+                } else {
+                    let hops = (a..b).map(|h| (local[p.hop_res[h] as usize], p.hop_w[h]));
+                    self.comps[id as usize].push_row(fid, slot, hops);
+                }
+            }
+            a = b;
+        }
+        comp.flows.truncate(rows);
+        comp.prob.off.truncate(rows + 1);
+        comp.prob.hop_res.truncate(hw);
+        comp.prob.hop_w.truncate(hw);
+        comp.dead.clear();
+        if rows == 0 {
+            comp = Component::default();
+            self.comp_free.push(c);
+        }
+        self.comps[c as usize] = comp;
+        self.comp_scratch = scratch;
+    }
+
     /// Collect the connected component of the flow↔resource graph
-    /// containing `seed`, appending into the shared flat buffers. The
-    /// flow range comes back sorted ascending by id so fill iteration
-    /// order — and therefore every f64 rounding — is independent of which
-    /// resource seeded the walk; the resource range stays in (equally
-    /// deterministic) discovery order.
+    /// containing `seed` from the per-resource flow lists — the
+    /// from-scratch walk of [`SolverMode::Reference`], and the oracle the
+    /// persistent components are tested against. `comp_flows` comes back
+    /// sorted ascending by id so fill iteration order — and therefore
+    /// every f64 rounding — is independent of which resource seeded the
+    /// walk; `comp_res` stays in (equally deterministic) discovery order.
+    /// Leaves the walk's marks set: the caller clears them.
     fn collect_component(
         &mut self,
         seed: ResourceId,
         comp_res: &mut Vec<u32>,
         comp_flows: &mut Vec<(u64, u32)>,
-    ) -> CompRange {
-        let res_start = comp_res.len() as u32;
-        let flow_start = comp_flows.len() as u32;
-        let mut hops = 0u64;
+    ) {
         let mut stack = std::mem::take(&mut self.bfs_stack);
         stack.clear();
         // Disjoint-field borrows: the walk reads the crossing indexes and
@@ -1420,7 +1812,6 @@ impl FluidSim {
                 let f = &slots[slot as usize];
                 comp_flows.push((f.fid, slot));
                 let route = &arena[f.r_start as usize..(f.r_start + f.r_len) as usize];
-                hops += route.len() as u64;
                 for &(r, _) in route {
                     if !res_visited[r.0 as usize] {
                         res_visited[r.0 as usize] = true;
@@ -1437,12 +1828,7 @@ impl FluidSim {
         // so comp_res legitimately stays in discovery order (which is
         // itself deterministic: the walk is seeded and expanded from
         // fid-sorted index lists, never from hash/timing state).
-        comp_flows[flow_start as usize..].sort_unstable();
-        CompRange {
-            res: (res_start, comp_res.len() as u32),
-            flows: (flow_start, comp_flows.len() as u32),
-            hops,
-        }
+        comp_flows.sort_unstable();
     }
 
     /// Settle-and-apply one component's freshly solved rates, then refresh
@@ -1526,13 +1912,6 @@ impl FluidSim {
             }
         }
         self.load_buf = load_buf;
-    }
-
-    /// Time a flow has been active.
-    pub fn flow_age(&self, id: FlowId) -> Option<SimDuration> {
-        self.index
-            .get(&id)
-            .map(|&s| self.now.since(self.slots[s as usize].started))
     }
 
     /// Drop every queued completion entry (test hook for shard accounting).
@@ -1971,6 +2350,148 @@ mod tests {
         let serial = run(1, u64::MAX);
         for threads in [2, 4, 8] {
             assert_eq!(run(threads, 0), serial, "threads {threads}");
+        }
+    }
+
+    /// Check every persistent component against the from-scratch walk:
+    /// the component of each resource's smallest member, as
+    /// `collect_component` finds it, has the same resource set and the same
+    /// fid-ordered flows, and its CSR rows are those flows' routes. The
+    /// component id is unset exactly on resources no flow crosses, and
+    /// every id that is not in use is on the free list.
+    fn assert_components_match_walk(sim: &mut FluidSim) {
+        assert!(!sim.rates_dirty, "check after a recompute");
+        // Incremental mode keeps no crossing index; build the one the walk
+        // reads from the slot arena, in fid order.
+        for &slot in sim.index.values() {
+            let f = &sim.slots[slot as usize];
+            for &(r, _) in &sim.route_arena[f.r_start as usize..(f.r_start + f.r_len) as usize] {
+                sim.res_flows[r.0 as usize].push(slot);
+            }
+        }
+        let mut seen = vec![false; sim.comps.len()];
+        for ri in 0..sim.resource_count() {
+            let c = sim.res_comp[ri];
+            assert_eq!(sim.res_nflows[ri] as usize, sim.res_flows[ri].len());
+            assert_eq!(
+                c == NO_COMP,
+                sim.res_flows[ri].is_empty(),
+                "resource {ri}: component id set iff a flow crosses it"
+            );
+            if c == NO_COMP || seen[c as usize] {
+                continue;
+            }
+            seen[c as usize] = true;
+            let (mut res, mut flows) = (Vec::new(), Vec::new());
+            sim.collect_component(ResourceId(ri as u32), &mut res, &mut flows);
+            sim.res_visited.fill(false);
+            sim.flow_in_comp.fill(false);
+            let comp = &sim.comps[c as usize];
+            assert!(comp.absorbed.is_empty() && comp.dead.is_empty() && !comp.listed);
+            assert_eq!(comp.flows, flows, "component {c}: flows");
+            let mut cached = comp.res.clone();
+            cached.sort_unstable();
+            res.sort_unstable();
+            assert_eq!(cached, res, "component {c}: resources");
+            for (j, &r) in comp.res.iter().enumerate() {
+                assert_eq!(
+                    (sim.res_comp[r as usize], sim.res_local[r as usize]),
+                    (c, j as u32)
+                );
+            }
+            let p = &comp.prob;
+            assert_eq!(p.off.len(), comp.flows.len() + 1);
+            for (i, &(_, slot)) in comp.flows.iter().enumerate() {
+                let f = &sim.slots[slot as usize];
+                let route = &sim.route_arena[f.r_start as usize..(f.r_start + f.r_len) as usize];
+                let row: Vec<(ResourceId, f64)> = (p.off[i] as usize..p.off[i + 1] as usize)
+                    .map(|h| (ResourceId(comp.res[p.hop_res[h] as usize]), p.hop_w[h]))
+                    .collect();
+                assert_eq!(row, route, "component {c}: row {i}");
+            }
+        }
+        let mut free = sim.comp_free.clone();
+        free.sort_unstable();
+        let unused: Vec<u32> = (0..sim.comps.len() as u32)
+            .filter(|&c| !seen[c as usize])
+            .collect();
+        assert_eq!(free, unused, "vacated ids are exactly the free list");
+        for &c in &free {
+            assert!(sim.comps[c as usize].flows.is_empty());
+        }
+        for list in &mut sim.res_flows {
+            list.clear();
+        }
+    }
+
+    #[test]
+    fn persistent_components_match_the_walk() {
+        use ff_util::scengen::{GenConfig, ScenEvent, Scenario};
+        let presets = [
+            (GenConfig::default(), 0x0C00_0000u64, false),
+            (GenConfig::dense(), 0x0C10_0000, false),
+            (GenConfig::wide(), 0x0C20_0000, true),
+        ];
+        for (cfg, base, par) in presets {
+            for seed in base..base + 150 {
+                let s = Scenario::generate(seed, &cfg);
+                let mut sim = FluidSim::new();
+                if par {
+                    sim.set_threads(4);
+                    sim.set_par_threshold(0);
+                }
+                let rids: Vec<_> = s
+                    .capacities
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| sim.add_resource(format!("r{i}"), c))
+                    .collect();
+                let mut active: Vec<FlowId> = Vec::new();
+                // Events sharing an instant are applied back to back, so one
+                // recompute sees all of them: merges of several components,
+                // and rows that start and die unsolved.
+                let mut k = 0;
+                while k < s.events.len() {
+                    let t = SimTime(s.events[k].0);
+                    while sim.next_completion_time().is_some_and(|tc| tc <= t) {
+                        assert_components_match_walk(&mut sim);
+                        if let Some((_, done)) = sim.advance_to_next_completion() {
+                            active.retain(|f| !done.contains(f));
+                        }
+                    }
+                    sim.advance_to(t);
+                    while k < s.events.len() && SimTime(s.events[k].0) == t {
+                        match &s.events[k].1 {
+                            ScenEvent::Start { route, work } => {
+                                let hops = route.iter().map(|&(r, w)| (rids[r], w));
+                                active.push(sim.start_flow(*work, &Route::weighted(hops)));
+                            }
+                            ScenEvent::Degrade { resource, factor } => {
+                                sim.degrade(rids[*resource], *factor).unwrap()
+                            }
+                            ScenEvent::Restore { resource } => {
+                                sim.restore(rids[*resource]).unwrap()
+                            }
+                            ScenEvent::SetRateCap { resource, cap } => {
+                                sim.set_rate_cap(rids[*resource], *cap).unwrap()
+                            }
+                            ScenEvent::Cancel { nth } => {
+                                if !active.is_empty() {
+                                    let id = active.swap_remove(nth % active.len());
+                                    sim.cancel_flow(id);
+                                }
+                            }
+                        }
+                        k += 1;
+                    }
+                    sim.next_completion_time();
+                    assert_components_match_walk(&mut sim);
+                }
+                while sim.advance_to_next_completion().is_some() {
+                    sim.next_completion_time();
+                    assert_components_match_walk(&mut sim);
+                }
+            }
         }
     }
 }

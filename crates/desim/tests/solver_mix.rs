@@ -3,16 +3,40 @@
 //! The mix is wide fan-ins whose completion heap spans several shards,
 //! plus seeded `scengen` schedules replayed serially and with parallel
 //! dispatch forced on. Its event count is bit-deterministic, so it only
-//! moves when the solver's structure does: a change that moves it is
+//! moves when the solver's structure does, and the component, empty
+//! component, flow-solve and fill-round totals beside it move when the
+//! solver's component partition does: a change that moves them is
 //! re-pinned here deliberately, with the reason in CHANGES.md.
 //! perfbench's `desim.mix_events_per_s` times a mix of the same kind.
 
+use ff_desim::fluid::SolverStats;
 use ff_desim::{FluidSim, Route, SimTime, SolverMode};
 use ff_util::scengen::{GenConfig, ScenEvent, Scenario};
 
-/// Run the whole mix; returns the structural events applied.
-fn solver_mix() -> u64 {
-    let mut events = 0u64;
+/// Thread-invariant totals of one mix: structural events, components,
+/// empty components, flow solves and fill rounds.
+#[derive(Debug, Default, PartialEq)]
+struct MixTotals {
+    events: u64,
+    components: u64,
+    empty_components: u64,
+    flow_solves: u64,
+    fill_rounds: u64,
+}
+
+impl MixTotals {
+    fn add(&mut self, s: SolverStats) {
+        self.events += s.events();
+        self.components += s.components;
+        self.empty_components += s.empty_components;
+        self.flow_solves += s.flow_solves;
+        self.fill_rounds += s.fill_rounds;
+    }
+}
+
+/// Run the whole mix; returns its totals.
+fn solver_mix() -> MixTotals {
+    let mut totals = MixTotals::default();
 
     // Wide fan-in over >256 resources: the completion heap spans several
     // shards, so the deterministic cross-shard pop is on the hot path.
@@ -28,7 +52,7 @@ fn solver_mix() -> u64 {
             }
             while sim.advance_to_next_completion().is_some() {}
         }
-        events += sim.solver_stats().events();
+        totals.add(sim.solver_stats());
     }
 
     // Seeded adversarial schedules: serial incremental, then with parallel
@@ -86,13 +110,22 @@ fn solver_mix() -> u64 {
                 }
             }
             while sim.advance_to_next_completion().is_some() {}
-            events += sim.solver_stats().events();
+            totals.add(sim.solver_stats());
         }
     }
-    events
+    totals
 }
 
 #[test]
 fn solver_mix_event_count_is_golden() {
-    assert_eq!(solver_mix(), 37_950);
+    assert_eq!(
+        solver_mix(),
+        MixTotals {
+            events: 37_950,
+            components: 31_214,
+            empty_components: 5_591,
+            flow_solves: 455_511,
+            fill_rounds: 145_306,
+        }
+    );
 }
