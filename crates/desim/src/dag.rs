@@ -10,6 +10,7 @@
 
 use crate::fluid::{FlowId, FluidSim, Route};
 use crate::queue::EventQueue;
+use crate::step::{next_due, Due};
 use crate::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -153,31 +154,20 @@ impl DagSim {
         for id in ready {
             self.start_node(id);
         }
-        loop {
-            // Fire everything due now — gates, zero-work transfers, elapsed
-            // delays, and whatever they cascade into — before asking the
-            // fluid anything: the clock cannot move while they are pending,
-            // so every flow started at this instant joins one solve.
-            let now = self.fluid.now();
-            while let Some((_, id)) = self.delays.pop_due(now) {
-                self.complete_node(id, now);
-            }
-            // A delay due no later than the next completion fires first,
-            // as does any delay when no flow is running.
-            let horizon = self.fluid.next_completion_time().unwrap_or(SimTime::MAX);
-            if let Some((t, id)) = self.delays.pop_due(horizon) {
-                self.fluid.advance_to(t);
-                self.complete_node(id, t);
-            } else if let Some((t, done)) = self.fluid.advance_to_next_completion() {
+        // Gates, zero-work transfers and elapsed delays due now fire before
+        // any solve, so every flow started at this instant joins one.
+        while let Some(due) = next_due(&mut self.delays, Some(&mut self.fluid), SimTime::MAX) {
+            match due {
+                Due::Timer(t, id) => self.complete_node(id, t),
                 // A flow with no node leaves nothing to complete; the
                 // deadlock check below still reports its node unfinished.
-                for fid in done {
-                    if let Some(id) = self.flow_to_node.remove(&fid) {
-                        self.complete_node(id, t);
+                Due::Flows(t, done) => {
+                    for fid in done {
+                        if let Some(id) = self.flow_to_node.remove(&fid) {
+                            self.complete_node(id, t);
+                        }
                     }
                 }
-            } else {
-                break;
             }
         }
         let unfinished: Vec<&str> = self

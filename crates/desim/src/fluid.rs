@@ -1338,17 +1338,6 @@ impl FluidSim {
         self.now = t;
     }
 
-    /// Run the simulation until no flows remain, invoking `on_complete` for
-    /// each completed flow (in deterministic FlowId order within an
-    /// instant). The callback may start new flows.
-    pub fn drain(&mut self, mut on_complete: impl FnMut(&mut Self, SimTime, FlowId)) {
-        while let Some((at, done)) = self.advance_to_next_completion() {
-            for id in done {
-                on_complete(self, at, id);
-            }
-        }
-    }
-
     /// Utilization statistics for `r` since the start of the run.
     pub fn stats(&mut self, r: ResourceId) -> &ResourceStats {
         self.recompute_rates_if_dirty();
@@ -2117,37 +2106,6 @@ mod tests {
         let left = sim.cancel_flow(f);
         approx(left, 50.0);
         assert_eq!(sim.active_flows(), 0);
-    }
-
-    #[test]
-    fn drain_visits_all_completions() {
-        let mut sim = FluidSim::new();
-        let link = sim.add_resource("link", 100.0);
-        for i in 1..=5 {
-            sim.start_flow(10.0 * i as f64, &Route::unit([link]));
-        }
-        let mut seen = Vec::new();
-        sim.drain(|_, _, id| seen.push(id));
-        assert_eq!(seen.len(), 5);
-        assert_eq!(sim.active_flows(), 0);
-    }
-
-    #[test]
-    fn drain_callback_can_chain_flows() {
-        let mut sim = FluidSim::new();
-        let link = sim.add_resource("link", 100.0);
-        sim.start_flow(100.0, &Route::unit([link]));
-        let mut chained = false;
-        let mut completions = 0;
-        sim.drain(|sim, _, _| {
-            completions += 1;
-            if !chained {
-                chained = true;
-                sim.start_flow(200.0, &Route::unit([link]));
-            }
-        });
-        assert_eq!(completions, 2);
-        approx(sim.now().as_secs_f64(), 3.0);
     }
 
     #[test]

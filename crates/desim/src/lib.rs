@@ -13,6 +13,8 @@
 //! * [`time`] — simulated-time arithmetic ([`SimTime`], [`SimDuration`]).
 //! * [`queue`] — a deterministic time-ordered event queue ([`EventQueue`]).
 //! * [`fluid`] — the max-min fair fluid-flow engine ([`FluidSim`]).
+//! * [`step`] — one step of a timer queue interleaved with the fluid
+//!   ([`next_due`]): the one same-instant rule every such loop follows.
 //! * [`dag`] — dependency-graph execution of transfers/compute/delays on top
 //!   of the fluid engine ([`DagSim`]), used by the allreduce and training
 //!   simulators.
@@ -29,6 +31,7 @@ pub mod envelope;
 pub mod fluid;
 pub mod queue;
 pub mod stats;
+pub mod step;
 pub mod time;
 
 pub use dag::{DagSim, NodeId as DagNodeId, Work};
@@ -36,4 +39,5 @@ pub use envelope::{Envelope, Phase};
 pub use fluid::{FlowId, FluidSim, ResourceId, Route, SolverMode};
 pub use queue::EventQueue;
 pub use stats::{ResourceStats, Summary};
+pub use step::{next_due, Due};
 pub use time::{SimDuration, SimTime};

@@ -146,6 +146,7 @@ impl Dcqcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ff_desim::{next_due, Due, EventQueue, SimTime};
 
     #[test]
     fn uncongested_flow_keeps_line_rate() {
@@ -206,17 +207,13 @@ mod tests {
         let mut cc = Dcqcn::new(DcqcnParams::default());
         let (route, _) = cc.pace(&mut fluid, &Route::unit([link]), 100.0, vec![(link, 100.0)]);
         fluid.start_flow(50.0, &route);
-        let mut t = fluid.now();
-        loop {
+        // One controller tick a period until the transfer completes.
+        let mut ticks = EventQueue::new();
+        ticks.schedule(fluid.now(), ());
+        while let Some(Due::Timer(t, ())) = next_due(&mut ticks, Some(&mut fluid), SimTime::MAX) {
             cc.step(&mut fluid);
-            t += cc.period();
-            match fluid.next_completion_time() {
-                Some(tc) if tc <= t => {
-                    fluid.advance_to_next_completion();
-                    break;
-                }
-                Some(_) => fluid.advance_to(t),
-                None => break,
+            if fluid.active_flows() > 0 {
+                ticks.schedule(t + cc.period(), ());
             }
         }
         let util = fluid.stats(link).utilization();

@@ -10,7 +10,7 @@
 use crate::build::NetResources;
 use crate::lanes::{ServiceLevel, VlConfig};
 use crate::rts::RtsController;
-use ff_desim::{FlowId, FluidSim, SimDuration, SimTime, Summary};
+use ff_desim::{next_due, Due, EventQueue, FlowId, FluidSim, SimDuration, SimTime, Summary};
 use ff_topo::fattree::{attach_host, build_zone, FatTreeSpec};
 use ff_topo::graph::{NodeId, NodeKind, Topology};
 use ff_topo::routing::{RoutePolicy, Router};
@@ -113,8 +113,8 @@ pub fn incast(cfg: &IncastConfig) -> IncastResult {
     let mut rts = RtsController::new(cfg.rts_limit.unwrap_or(usize::MAX).min(cfg.senders.max(1)));
     let no_rts = cfg.rts_limit.is_none();
 
-    // Pending starts: (time, sender index).
-    let mut pending: Vec<(SimTime, usize)> = Vec::new();
+    // Each sender starts when its grant arrives (at once without control).
+    let mut grants: EventQueue<usize> = EventQueue::new();
     let mut flows: HashMap<FlowId, usize> = HashMap::new();
     let mut latency = Summary::new();
     let mut concurrent = 0usize;
@@ -130,40 +130,23 @@ pub fn incast(cfg: &IncastConfig) -> IncastResult {
     // Issue initial requests at t=0.
     for i in 0..cfg.senders {
         if no_rts {
-            pending.push((SimTime::ZERO, i));
+            grants.schedule(SimTime::ZERO, i);
         } else if rts.request(i).is_some() {
-            pending.push((SimTime::ZERO + cfg.rts_rtt, i));
+            grants.schedule(SimTime::ZERO + cfg.rts_rtt, i);
         }
     }
-    pending.sort();
-    let mut next_pending = 0usize;
-
-    let start_flow = |fluid: &mut FluidSim,
-                      flows: &mut HashMap<FlowId, usize>,
-                      concurrent: &mut usize,
-                      i: usize| {
-        let path = router.route(senders[i], client, i as u64, &|_| 0.0);
-        let route = net.path_route(&topo, senders[i], &path, ServiceLevel::Storage);
-        let f = fluid.start_flow(cfg.bytes, &route);
-        flows.insert(f, i);
-        *concurrent += 1;
-    };
 
     let mut makespan = SimTime::ZERO;
-    loop {
-        let next_start = pending.get(next_pending).map(|&(t, _)| t);
-        let next_done = fluid.next_completion_time();
-        match (next_start, next_done) {
-            (None, None) => break,
-            (Some(ts), nd) if nd.is_none() || ts <= nd.unwrap() => {
-                fluid.advance_to(ts);
-                let (_, i) = pending[next_pending];
-                next_pending += 1;
-                start_flow(&mut fluid, &mut flows, &mut concurrent, i);
-                update_pressure(&mut fluid, concurrent);
+    while let Some(due) = next_due(&mut grants, Some(&mut fluid), SimTime::MAX) {
+        match due {
+            Due::Timer(_, i) => {
+                let path = router.route(senders[i], client, i as u64, &|_| 0.0);
+                let route = net.path_route(&topo, senders[i], &path, ServiceLevel::Storage);
+                let f = fluid.start_flow(cfg.bytes, &route);
+                flows.insert(f, i);
+                concurrent += 1;
             }
-            _ => {
-                let (t, done) = fluid.advance_to_next_completion().expect("flows active");
+            Due::Flows(t, done) => {
                 makespan = t;
                 for f in done {
                     flows.remove(&f).expect("tracked flow");
@@ -171,14 +154,13 @@ pub fn incast(cfg: &IncastConfig) -> IncastResult {
                     latency.add(t.as_secs_f64());
                     if !no_rts {
                         if let Some(next) = rts.complete() {
-                            pending.push((t + cfg.rts_rtt, next));
-                            pending[next_pending..].sort();
+                            grants.schedule(t + cfg.rts_rtt, next);
                         }
                     }
                 }
-                update_pressure(&mut fluid, concurrent);
             }
         }
+        update_pressure(&mut fluid, concurrent);
     }
     let total_bytes = cfg.senders as f64 * cfg.bytes;
     IncastResult {
@@ -388,6 +370,26 @@ mod tests {
         );
         // RTS goodput approaches line rate (25 GB/s minus handshake gaps).
         assert!(with.goodput_bps > 20e9, "{}", with.goodput_bps);
+    }
+
+    /// Goodput, makespan and mean latency of the heavy incast, with and
+    /// without request-to-send, pinned bit for bit.
+    #[test]
+    fn heavy_incast_keeps_its_bits() {
+        for (limit, bits) in [
+            (
+                None,
+                [0x41e3d0bc585d9f4e, 0x3fc9d6a975ebd0af, 0x3fc9d6a975ebd0af],
+            ),
+            (
+                Some(8),
+                [0x4217325769d06a17, 0x3f961278d37b67aa, 0x3f88d4c7edead4a1],
+            ),
+        ] {
+            let r = incast(&IncastConfig::heavy(limit));
+            let got = [r.goodput_bps, r.makespan_s, r.latency.mean()].map(f64::to_bits);
+            assert_eq!(got, bits, "rts_limit {limit:?}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use ff_3fs::target::Disk;
 use ff_3fs::{Chain, ChunkId, ClusterManager, HealthState, ServiceRole, StorageTarget};
 use ff_desim::envelope::Envelope;
 use ff_desim::fluid::FluidSim;
-use ff_desim::{EventQueue, FlowId, ResourceId, Route, SimDuration, SimTime};
+use ff_desim::{next_due, Due, EventQueue, FlowId, ResourceId, Route, SimDuration, SimTime};
 use ff_failures::plan::FLASH_CUT_FACTOR;
 use ff_failures::{FaultAction, FaultPlan, GrayFault, GrayPlan};
 use ff_obs::{Recorder, TrackId};
@@ -805,59 +805,45 @@ impl Platform {
         self.run_until(self.now + d);
     }
 
-    /// Advance simulated time to `t` (which must not be in the past).
+    /// Advance simulated time to `t`, handling each timer and batch of
+    /// flow completions [`next_due`] hands over on the way; the scheduling
+    /// pass runs once nothing more is due at the current instant. A `t` in
+    /// the past is a no-op.
     pub fn run_until(&mut self, t: SimTime) {
-        assert!(t.0 >= self.now.0, "cannot run the platform backwards");
+        if t < self.now {
+            return;
+        }
         loop {
-            let timer_next = self.timers.peek_time();
-            let fluid_next = self
-                .engine
-                .as_mut()
-                .and_then(|e| e.cluster.fluid.next_completion_time());
-            let next = match (timer_next, fluid_next) {
-                (Some(a), Some(b)) => Some(if a.0 <= b.0 { a } else { b }),
-                (a, b) => a.or(b),
-            };
-            match next {
-                Some(n) if n.0 <= t.0 => {
-                    self.advance_to(n);
-                    // Timers first: a failure at t must cancel flows before
-                    // the fluid sim hands us their completions at t.
-                    // (Nothing is ever scheduled before the clock, so the
-                    // due timers are exactly those at n.)
-                    while let Some((_, ev)) = self.timers.pop_due(n) {
-                        self.handle_event(ev);
-                    }
-                    // Re-peek each round — handlers may have canceled flows.
-                    loop {
-                        let due = self
-                            .engine
-                            .as_mut()
-                            .and_then(|e| e.cluster.fluid.next_completion_time());
-                        if due != Some(n) {
-                            break;
-                        }
-                        let done = self
-                            .engine
-                            .as_mut()
-                            .and_then(|e| e.cluster.fluid.advance_to_next_completion())
-                            .map(|(_, f)| f)
-                            .unwrap_or_default();
-                        self.handle_flows(done);
-                    }
-                    if self.dirty {
-                        self.schedule_now();
-                    }
+            let fluid = self.engine.as_mut().map(|e| &mut e.cluster.fluid);
+            match next_due(&mut self.timers, fluid, t) {
+                Some(Due::Timer(at, ev)) => {
+                    self.advance_to(at);
+                    self.handle_event(ev);
                 }
-                _ => {
-                    self.advance_to(t);
-                    break;
+                Some(Due::Flows(at, done)) => {
+                    self.advance_to(at);
+                    self.handle_flows(done);
                 }
+                None => break,
+            }
+            if self.dirty && !self.due_now() {
+                self.schedule_now();
             }
         }
+        self.advance_to(t);
         if self.dirty {
             self.schedule_now();
         }
+    }
+
+    /// Whether a timer or a flow completion is due at the current instant.
+    fn due_now(&mut self) -> bool {
+        let now = Some(self.now);
+        self.timers.peek_time() == now
+            || self
+                .engine
+                .as_mut()
+                .is_some_and(|e| e.cluster.fluid.next_completion_time() == now)
     }
 
     /// Move the clock (and the fluid sim) to `t`, integrating busy and
@@ -2672,5 +2658,126 @@ mod tests {
         assert_eq!(p.state(t), Some(TaskState::Running));
         assert_eq!(p.node_task(4), None);
         assert_eq!(p.node_health(4), None);
+    }
+
+    /// Running to an instant already passed changes nothing, on either
+    /// engine: not the clock, the books nor the recorder's trace.
+    #[test]
+    fn running_to_the_past_is_a_no_op() {
+        let declared = PlatformConfig::new().zones([4, 4]).ckpt_interval(30);
+        let fluid = PlatformConfig::new()
+            .cluster(ClusterModel::build(&ClusterConfig::fire_flyer(8)))
+            .storage_nodes(2)
+            .ckpt_interval(5);
+        for config in [declared, fluid] {
+            let rec = Recorder::new();
+            let mut p = config.recorder(rec.clone()).build().unwrap();
+            let tasks: Vec<TaskId> = [(4, 400), (2, 300), (2, 900)]
+                .into_iter()
+                .map(|(n, w)| p.submit(JobSpec::new("job", n, w)).unwrap())
+                .collect();
+            p.run_for(SimDuration::from_millis(7_500));
+            p.fail_node(1);
+            let books = |p: &Platform| {
+                let tasks: Vec<_> = tasks
+                    .iter()
+                    .map(|&t| (p.state(t), p.progress(t), p.checkpoint(t)))
+                    .collect();
+                format!(
+                    "{}{}{:?} {tasks:?} {:016x} {} {}",
+                    rec.canonical(),
+                    p.detector_canonical(),
+                    p.now(),
+                    p.utilization().to_bits(),
+                    p.lost_work_s(),
+                    p.down_node_seconds()
+                )
+            };
+            let before = books(&p);
+            p.run_until(SimTime::from_secs(3));
+            p.run_until(SimTime::ZERO);
+            assert_eq!(books(&p), before);
+        }
+    }
+
+    /// `platform_goldens`' fluid run, pinned by solver effort: the event
+    /// loop may solve less often, but must apply the same flow starts,
+    /// cancels and completions.
+    #[test]
+    fn fluid_golden_run_keeps_its_solver_effort() {
+        use crate::serving::ServingSpec;
+        use ff_failures::{FailureKind, PlannedFault};
+        use ff_util::scengen::{ArrivalConfig, ArrivalTrace};
+        let fault = |at_s, node, kind, action| PlannedFault {
+            at_s,
+            node,
+            kind,
+            action,
+        };
+        let mut p = PlatformConfig::new()
+            .cluster(ClusterModel::build(&ClusterConfig::fire_flyer(64)))
+            .ckpt_interval(20)
+            .repair_delay_s(60)
+            .recorder(Recorder::new())
+            .build()
+            .unwrap();
+        for (i, nodes) in [16, 12, 20, 8].into_iter().enumerate() {
+            let job = JobSpec::new(format!("train{i}"), nodes, 4000)
+                .priority(i as i32 % 2)
+                .step_bytes(2.0 * (1u64 << 30) as f64)
+                .ckpt_bytes(4.0 * (1u64 << 30) as f64);
+            p.submit(job).unwrap();
+        }
+        let trace = ArrivalTrace::generate(
+            0xF1D,
+            &ArrivalConfig {
+                duration_s: 60.0,
+                base_qps: 4.0,
+                ..ArrivalConfig::default()
+            },
+        );
+        let spec =
+            ServingSpec::new("chat", 2, 2, trace).tp_bytes_per_token(64.0 * (1u64 << 20) as f64);
+        let sid = p.submit_serving(spec).unwrap();
+        p.apply_fault_plan(&FaultPlan {
+            faults: vec![
+                fault(
+                    4.0,
+                    0,
+                    FailureKind::StorageTargetFailure,
+                    FaultAction::KillStorageTarget { target: 1 },
+                ),
+                fault(
+                    9.0,
+                    14,
+                    FailureKind::MainMemoryEcc,
+                    FaultAction::KillRank { rank: 14 },
+                ),
+            ],
+        });
+        p.tick(6);
+        let urgent = JobSpec::new("urgent", 24, 40)
+            .priority(5)
+            .step_bytes((1u64 << 30) as f64);
+        p.submit(urgent).unwrap();
+        p.run_for(SimDuration::from_millis(2_500));
+        let serving_node = p.serving_assignment(sid, 1).unwrap()[1];
+        p.fail_node(serving_node);
+        p.run_for(SimDuration::from_millis(4_821));
+        p.heal_node(serving_node);
+        assert!(p.stop_serving(sid));
+        p.tick(10);
+        let s = p.engine.as_ref().unwrap().cluster.fluid.solver_stats();
+        assert_eq!(
+            [
+                s.flow_starts,
+                s.cancels,
+                s.completions,
+                s.recomputes,
+                s.flow_solves,
+                s.fill_rounds
+            ],
+            [6_856, 64, 6_736, 522, 7_040, 504]
+        );
     }
 }
