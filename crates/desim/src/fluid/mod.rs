@@ -52,18 +52,17 @@
 //!   one shared **route arena** (a recycled slot reuses its arena range),
 //!   so a component walk chases no per-flow heap pointers.
 //! * Per-resource state is **struct-of-arrays**: capacity, degradation,
-//!   cached effective capacity, instantaneous load and the crossing-flow
-//!   index are parallel `Vec`s indexed by resource id; rarely-touched
+//!   cached effective capacity, instantaneous load, crossing count and
+//!   component are parallel `Vec`s indexed by resource id; rarely-touched
 //!   fields (name, statistics) live in a separate cold array.
 //! * Each persistent component holds its rows as a CSR triple (offsets /
 //!   component-local resource ids / weights) beside its resource list and
 //!   its `(flow id, slot)` pairs. A solve refreshes the capacities and runs
 //!   the water-fill kernel on the triple as it stands: no walk, no
 //!   compile, no per-solve allocation on the serial path.
-//! * Per resource, only a crossing count is kept. The fid-sorted
-//!   crossing-flow lists (slot vectors — flow ids are monotonic, so
-//!   insertion is an O(1) push) are [`SolverMode::Reference`]'s, which
-//!   walks and compiles every component from them.
+//! * Per resource, only a crossing count is kept: a component's rows are
+//!   its crossing index. The test oracle builds fid-sorted crossing lists
+//!   from the slot arena when it walks, and nothing maintains them.
 //!
 //! ## Component-parallel solving
 //!
@@ -83,22 +82,30 @@
 //!   ascending by id, hops in normalized route order — and no float
 //!   operation is reassociated; resource-indexed state only feeds
 //!   order-independent operations (exact min reductions, sticky flags),
-//!   so a component's local resource numbering (arrival order here, BFS
-//!   discovery order in Reference mode) is free to differ from id order.
+//!   so a component's local resource numbering (arrival order here, walk
+//!   discovery order in the test oracle) is free to differ from id order.
 //!
 //! The same seed therefore produces the same trace digest at 1, 2, or N
 //! threads ([`set_threads`](FluidSim::set_threads)), and observability
 //! commits stay single-writer: worker threads never touch the attached
 //! [`Recorder`] — only the merge thread does, after the join.
 //!
-//! [`SolverMode::Reference`] disables the incremental machinery (every
-//! component is walked, compiled and re-solved from scratch every time and
-//! the next completion is found by linear scan) while sharing the
-//! identical per-component fill arithmetic;
-//! the differential suite in `desim/tests/fluid_diff.rs` holds the modes
-//! bit-exactly equal on thousands of seeded random schedules.
+//! ## The test oracle
+//!
+//! The product build has one solver. Test builds add a second
+//! [`SolverMode`] variant, the oracle in the `oracle` module: at the end of
+//! every recompute it walks, compiles and re-solves every component from
+//! scratch, applies that answer, and rebuilds the completion heap from a
+//! scan of every active flow. The fill arithmetic is the shared one. The
+//! oracle's differential suite holds the incremental solver, the worker
+//! pool and the oracle bit-exactly equal on over a thousand seeded random
+//! schedules, and a brute-force global water-fill within 1e-9.
+//!
+//! The code is split by concern: `component` is the persistent cache,
+//! `fill` the pure per-component solve, and this module the API, the flow
+//! slots, the route arena and the completion shards.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
@@ -107,6 +114,12 @@ use crate::time::{SimDuration, SimTime};
 use ff_obs::{Recorder, TrackId};
 use ff_util::error::{FfError, FfKind};
 use ff_util::par;
+
+mod component;
+mod fill;
+
+use self::component::{Component, NO_COMP};
+use self::fill::{solve_problem, water_fill, CompProblem, FillScratch};
 
 /// Identifies a resource registered with a [`FluidSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -206,6 +219,13 @@ struct FlowSlot {
     epoch: u64,
 }
 
+impl FlowSlot {
+    /// This flow's normalized route, a range of the shared route arena.
+    fn route<'a>(&self, arena: &'a [(ResourceId, f64)]) -> &'a [(ResourceId, f64)] {
+        &arena[self.r_start as usize..(self.r_start + self.r_len) as usize]
+    }
+}
+
 /// Predicted completion instant of `f`, valid while its rate is unchanged.
 fn predict(f: &FlowSlot) -> SimTime {
     f.updated_at + SimDuration::for_work(f.remaining, f.rate)
@@ -287,45 +307,23 @@ impl CompletionShards {
         best.map(|(at, _, _)| at)
     }
 
-    /// Pop every valid entry completing exactly at `at` into `done`.
-    /// Call after [`peek_valid`](Self::peek_valid) returned `Some(at)`.
-    fn pop_batch(&mut self, at: SimTime, slots: &[FlowSlot], done: &mut Vec<FlowId>) {
+    /// Pop every valid entry completing exactly at `at` into `done`, as
+    /// `(id, slot)`. Call after [`peek_valid`](Self::peek_valid) returned
+    /// `Some(at)`.
+    fn pop_batch(&mut self, at: SimTime, slots: &[FlowSlot], done: &mut Vec<(FlowId, u32)>) {
         for heap in &mut self.shards {
-            while let Some(e) = heap.peek() {
+            while let Some(&e) = heap.peek() {
                 if e.at != at {
                     break;
                 }
-                let e = *heap.pop().as_ref().expect("peeked entry pops");
+                heap.pop();
                 let f = &slots[e.slot as usize];
                 if f.fid == e.id.0 && f.epoch == e.epoch {
-                    done.push(e.id);
+                    done.push((e.id, e.slot));
                 }
             }
         }
     }
-
-    #[cfg(test)]
-    fn clear(&mut self) {
-        for h in &mut self.shards {
-            h.clear();
-        }
-    }
-}
-
-/// Selects how [`FluidSim`] re-derives the max-min allocation after a
-/// structural event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Re-solve only the connected components touched since the last
-    /// recompute, and pop completions from a predicted-finish heap. The
-    /// default.
-    #[default]
-    Incremental,
-    /// Re-solve every component on every recompute and find the next
-    /// completion by linear scan — the brute-force oracle the incremental
-    /// path is differentially tested against. Shares the identical
-    /// per-component fill arithmetic, so the two modes agree bit-for-bit.
-    Reference,
 }
 
 /// Cumulative effort counters of a [`FluidSim`] — the raw material for
@@ -375,247 +373,13 @@ struct ObsSink {
     offset_ns: u64,
 }
 
-/// A compiled, owned component subproblem: effective capacities of the
-/// component's resources (in local-id order) and the member flows' routes
-/// (ascending flow-id order) compiled to CSR over local resource indices.
-/// Pure data — solving it cannot observe or mutate simulator state, which
-/// is what makes the parallel path trivially deterministic.
-#[derive(Default)]
-struct CompProblem {
-    caps: Vec<f64>,
-    off: Vec<u32>,
-    hop_res: Vec<u32>,
-    hop_w: Vec<f64>,
-}
-
-/// Water-fill scratch, reusable across solves.
-#[derive(Default)]
-struct FillScratch {
-    residual: Vec<f64>,
-    weight_sum: Vec<f64>,
-    /// Per-resource growth headroom `residual / weight_sum`, divided once
-    /// per (resource, round) on first touch so the min scan over hops
-    /// reads cached quotients instead of re-dividing per hop occurrence.
-    quot: Vec<f64>,
-    /// Round stamp marking `quot[r]` fresh for the current round.
-    quot_stamp: Vec<u32>,
-    saturated: Vec<bool>,
-    unfrozen: Vec<u32>,
-}
-
-/// Progressive filling over one compiled component. Identical arithmetic
-/// and iteration order as the historical in-place solver: flows ascending
-/// by id, hops in normalized route order, and the same relative order of
-/// every floating-point operation — bit-exact whether invoked serially or
-/// from a worker. Per-resource state (quotients, residuals, saturation)
-/// only enters through order-independent operations, so the local
-/// resource numbering is immaterial. Returns the fill-round count;
-/// `rates` comes back with one rate per flow.
-fn water_fill(p: &CompProblem, rates: &mut Vec<f64>, s: &mut FillScratch) -> u64 {
-    let k = p.caps.len();
-    let m = p.off.len() - 1;
-    s.residual.clear();
-    s.residual.extend_from_slice(&p.caps);
-    s.weight_sum.clear();
-    s.weight_sum.resize(k, 0.0);
-    s.saturated.clear();
-    s.saturated.resize(k, false);
-    for h in 0..p.hop_res.len() {
-        s.weight_sum[p.hop_res[h] as usize] += p.hop_w[h];
-    }
-    rates.clear();
-    rates.resize(m, 0.0);
-    s.unfrozen.clear();
-    s.unfrozen.extend(0..m as u32);
-    let mut rounds = 0u64;
-    s.quot.clear();
-    s.quot.resize(k, 0.0);
-    s.quot_stamp.clear();
-    s.quot_stamp.resize(k, 0);
-    while !s.unfrozen.is_empty() {
-        rounds += 1;
-        // The common growth increment is limited by the tightest resource
-        // crossed by an unfrozen flow: residual / weight_sum. Divide once
-        // per (resource, round) on first touch — the stamp marks the
-        // quotient fresh — then min over hop occurrences. Same quotient
-        // values the per-hop division produced, so the min (an exact,
-        // order-free reduction) is bit-identical, and resources no
-        // unfrozen flow crosses cost nothing.
-        let stamp = rounds as u32;
-        let mut delta = f64::INFINITY;
-        for &i in &s.unfrozen {
-            let (a, b) = (p.off[i as usize] as usize, p.off[i as usize + 1] as usize);
-            for &hr in &p.hop_res[a..b] {
-                let r = hr as usize;
-                if s.quot_stamp[r] != stamp {
-                    s.quot_stamp[r] = stamp;
-                    let ws = s.weight_sum[r];
-                    s.quot[r] = if ws > 0.0 {
-                        s.residual[r] / ws
-                    } else {
-                        f64::INFINITY
-                    };
-                }
-                delta = delta.min(s.quot[r]);
-            }
-        }
-        assert!(
-            delta.is_finite() && delta >= 0.0,
-            "water_fill: degenerate allocation (delta={delta})"
-        );
-        // Grow every unfrozen flow by delta, charge resources, and flag
-        // saturation in the same pass. The threshold is relative to
-        // capacity: at the bottleneck the residual lands on zero up to
-        // float error, which scales with the capacity magnitude. Checking
-        // after each decrement instead of once after the sweep flags the
-        // same set: residuals only shrink, so an early crossing implies the
-        // final value crosses too, and the final decrement performs the
-        // same check the old full-`k` sweep did — without touching the
-        // resources this round never charged.
-        for &i in &s.unfrozen {
-            rates[i as usize] += delta;
-            let (a, b) = (p.off[i as usize] as usize, p.off[i as usize + 1] as usize);
-            for (&hr, &hw) in p.hop_res[a..b].iter().zip(&p.hop_w[a..b]) {
-                let r = hr as usize;
-                let nr = s.residual[r] - delta * hw;
-                s.residual[r] = nr;
-                if !s.saturated[r] && nr <= p.caps[r] * 1e-6 {
-                    s.saturated[r] = true;
-                }
-            }
-        }
-        // Partition in place, preserving order: flows crossing a saturated
-        // resource freeze now (their weight leaves the pool), the rest
-        // stay. The weight decrements happen in the same relative order as
-        // the historical two-pass partition, so every f64 agrees.
-        let mut kept = 0usize;
-        let mut froze = 0usize;
-        for idx in 0..s.unfrozen.len() {
-            let i = s.unfrozen[idx];
-            let (a, b) = (p.off[i as usize] as usize, p.off[i as usize + 1] as usize);
-            let hr = &p.hop_res[a..b];
-            let frozen = hr.iter().any(|&r| s.saturated[r as usize]);
-            if frozen {
-                froze += 1;
-                for (&r, &w) in hr.iter().zip(&p.hop_w[a..b]) {
-                    s.weight_sum[r as usize] -= w;
-                }
-            } else {
-                s.unfrozen[kept] = i;
-                kept += 1;
-            }
-        }
-        assert!(froze > 0, "water_fill: no progress (numerical issue)");
-        s.unfrozen.truncate(kept);
-    }
-    rounds
-}
-
-/// Pool entry point: solve one compiled component. A pure `fn` so the
-/// worker pool can ship it without capturing any simulator state. The
-/// problem rides back with the result, to its component — the merge step
-/// reuses its CSR to refresh loads.
-fn solve_problem(p: CompProblem) -> (CompProblem, Vec<f64>, u64) {
-    let mut rates = Vec::new();
-    let mut scratch = FillScratch::default();
-    let rounds = water_fill(&p, &mut rates, &mut scratch);
-    (p, rates, rounds)
-}
-
-/// Compile a from-scratch component into CSR form ([`SolverMode::Reference`]
-/// only). `comp_flows` must be sorted ascending by flow id, and `res_local`
-/// populated for every resource in `comp_res` (the global-id → local-index
-/// scatter table, making each hop an O(1) lookup).
-fn build_problem(
-    comp_res: &[u32],
-    comp_flows: &[(u64, u32)],
-    slots: &[FlowSlot],
-    arena: &[(ResourceId, f64)],
-    eff_cap: &[f64],
-    res_local: &[u32],
-    p: &mut CompProblem,
-) {
-    p.caps.clear();
-    p.caps.extend(comp_res.iter().map(|&r| eff_cap[r as usize]));
-    p.off.clear();
-    p.off.reserve(comp_flows.len() + 1);
-    p.hop_res.clear();
-    p.hop_w.clear();
-    p.off.push(0);
-    for &(_, slot) in comp_flows {
-        let f = &slots[slot as usize];
-        let (a, b) = (f.r_start as usize, (f.r_start + f.r_len) as usize);
-        for &(r, w) in &arena[a..b] {
-            p.hop_res.push(res_local[r.0 as usize]);
-            p.hop_w.push(w);
-        }
-        p.off.push(p.hop_res.len() as u32);
-    }
-}
-
-/// Sentinel component id: no active flow crosses the resource.
-const NO_COMP: u32 = u32::MAX;
-
-/// One connected component of the flow↔resource graph, compiled for the
-/// fill. [`SolverMode::Incremental`] keeps these between recomputes and
-/// edits them as flows come and go; [`SolverMode::Reference`] builds a
-/// fresh one per component per recompute.
-#[derive(Default)]
-struct Component {
-    /// Member resources by global id; a resource's position here is its
-    /// local id in `prob`.
-    res: Vec<u32>,
-    /// Member flows as `(fid, slot)`, ascending by fid — the fill order —
-    /// one per CSR row of `prob`. A row whose fid is on `dead` is a
-    /// tombstone, dropped at the next recompute.
-    flows: Vec<(u64, u32)>,
-    /// The rows compiled to CSR over local resource ids. `caps` is
-    /// refreshed from the effective capacities each time the component is
-    /// listed for a solve.
-    prob: CompProblem,
-    /// Components a new flow bridged into this one since the last
-    /// recompute. Their resources already live here (and their rows use
-    /// this component's local ids), but their rows are interleaved into
-    /// fid order only at the next recompute.
-    absorbed: Vec<u32>,
-    /// Fids of member flows that finished or were cancelled since the
-    /// last recompute: drop their rows and check for a split.
-    dead: Vec<u64>,
-    /// Already listed for solving in the current recompute.
-    listed: bool,
-}
-
-impl Component {
-    /// Append one row (its hops given as local ids), keeping CSR shape.
-    fn push_row(&mut self, fid: u64, slot: u32, hops: impl Iterator<Item = (u32, f64)>) {
-        if self.prob.off.is_empty() {
-            self.prob.off.push(0);
-        }
-        self.flows.push((fid, slot));
-        for (r, w) in hops {
-            self.prob.hop_res.push(r);
-            self.prob.hop_w.push(w);
-        }
-        self.prob.off.push(self.prob.hop_res.len() as u32);
-    }
-}
-
 /// One solve of a recompute: a resource no flow crosses (its load drops
 /// to zero), or a component to fill. `Comp` carries the component's id in
-/// the persistent table (`NO_COMP` for a from-scratch one) and the
-/// component itself, moved out for the duration of the solve.
+/// the persistent table and the component itself, moved out for the
+/// duration of the solve.
 enum Unit {
     Empty(u32),
     Comp(u32, Component),
-}
-
-/// Root of `x` in a union-find forest, halving the path on the way.
-fn uf_find(uf: &mut [u32], mut x: u32) -> u32 {
-    while uf[x as usize] != x {
-        uf[x as usize] = uf[uf[x as usize] as usize];
-        x = uf[x as usize];
-    }
-    x
 }
 
 /// Default total-hop-count threshold above which a multi-component
@@ -628,6 +392,7 @@ const DEFAULT_PAR_THRESHOLD: u64 = 16 * 1024;
 ///
 /// ```
 /// use ff_desim::{FluidSim, Route};
+/// # fn main() -> Result<(), &'static str> {
 /// let mut sim = FluidSim::new();
 /// let link = sim.add_resource("25G link", 25e9);
 /// let a = sim.start_flow(1e9, &Route::unit([link]));
@@ -635,9 +400,11 @@ const DEFAULT_PAR_THRESHOLD: u64 = 16 * 1024;
 /// // Max-min fairness: the two flows split the link.
 /// assert_eq!(sim.flow_rate(a), 12.5e9);
 /// assert_eq!(sim.flow_rate(b), 12.5e9);
-/// let (t, done) = sim.advance_to_next_completion().unwrap();
+/// let (t, done) = sim.advance_to_next_completion().ok_or("idle")?;
 /// assert_eq!(done.len(), 2);
 /// assert!((t.as_secs_f64() - 0.08).abs() < 1e-6);
+/// # Ok(())
+/// # }
 /// ```
 pub struct FluidSim {
     now: SimTime,
@@ -657,25 +424,15 @@ pub struct FluidSim {
     res_load: Vec<f64>,
     /// Number of active flows whose routes cross this resource.
     res_nflows: Vec<u32>,
-    /// Reference mode: the active flows crossing this resource, as slot
-    /// indices sorted ascending by flow id (slots carry the fid) — the
-    /// index the from-scratch walk collects components from. Incremental
-    /// mode keeps it empty: its components' rows are the crossing index.
-    res_flows: Vec<Vec<u32>>,
     /// On the pending-recompute dirty list (dedup for `FluidSim::dirty`).
     res_dirty: Vec<bool>,
-    /// BFS scratch for component collection; always false between
-    /// recomputes.
-    res_visited: Vec<bool>,
-    /// Incremental mode: the persistent component holding this resource,
+    /// The persistent component holding this resource,
     /// [`NO_COMP`] exactly when no active flow crosses it (as of the last
     /// recompute; a resource whose last flow left since is dropped at the
     /// next one).
     res_comp: Vec<u32>,
-    /// Global resource id → component-local index. Incremental mode: the
-    /// resource's position in its component. Reference mode: a scatter
-    /// table repopulated per component, turning the CSR build into O(1)
-    /// per hop.
+    /// Global resource id → component-local index: the resource's
+    /// position in its component.
     res_local: Vec<u32>,
     res_cold: Vec<ResourceCold>,
     // ---- flows: slot arena + id index ----
@@ -684,19 +441,12 @@ pub struct FluidSim {
     /// ranges into it. Growth is bounded by per-slot high-water marks,
     /// not flow churn (see [`FlowSlot::r_cap`]).
     route_arena: Vec<(ResourceId, f64)>,
-    /// BFS scratch, parallel to `slots`: "already in the component being
-    /// collected". A dense bitmap outside the arena, so the membership
-    /// test — the single hottest read in component collection — stays
-    /// cache-resident instead of poking 100-byte slots. Always false
-    /// between recomputes.
-    flow_in_comp: Vec<bool>,
     free_slots: Vec<u32>,
-    /// Active flows by id (ascending — Reference mode iterates this).
+    /// Active flows by id, ascending.
     index: BTreeMap<FlowId, u32>,
     next_flow_id: u64,
     // ---- solver state ----
     rates_dirty: bool,
-    mode: SolverMode,
     /// Resources touched since the last recompute — the seeds the
     /// incremental solver grows components from. Deduplicated via
     /// `res_dirty`.
@@ -707,19 +457,22 @@ pub struct FluidSim {
     /// Minimum total hop count before a recompute goes parallel.
     par_threshold: u64,
     stats: SolverStats,
-    /// Incremental mode: the persistent components, indexed by the ids
-    /// in `res_comp`, with vacated ids on `comp_free`.
+    /// The persistent components, indexed by the ids in `res_comp`, with
+    /// vacated ids on `comp_free`.
     comps: Vec<Component>,
     comp_free: Vec<u32>,
     // ---- reusable scratch ----
     units: Vec<Unit>,
-    bfs_stack: Vec<u32>,
     /// Per-local-resource scratch for `rebuild_component`.
     comp_scratch: Vec<u32>,
     load_buf: Vec<f64>,
     fill: FillScratch,
     rates_buf: Vec<f64>,
     obs: Option<ObsSink>,
+    /// The solver. Product builds have one, so only the test oracle reads
+    /// this.
+    #[cfg_attr(not(test), allow(dead_code))]
+    mode: SolverMode,
 }
 
 impl Default for FluidSim {
@@ -745,20 +498,16 @@ impl FluidSim {
             res_eff_cap: Vec::new(),
             res_load: Vec::new(),
             res_nflows: Vec::new(),
-            res_flows: Vec::new(),
             res_dirty: Vec::new(),
-            res_visited: Vec::new(),
             res_comp: Vec::new(),
             res_local: Vec::new(),
             res_cold: Vec::new(),
             slots: Vec::new(),
             route_arena: Vec::new(),
-            flow_in_comp: Vec::new(),
             free_slots: Vec::new(),
             index: BTreeMap::new(),
             next_flow_id: 0,
             rates_dirty: false,
-            mode,
             dirty: Vec::new(),
             completions: CompletionShards::default(),
             threads: 0,
@@ -767,18 +516,13 @@ impl FluidSim {
             comps: Vec::new(),
             comp_free: Vec::new(),
             units: Vec::new(),
-            bfs_stack: Vec::new(),
             comp_scratch: Vec::new(),
             load_buf: Vec::new(),
             fill: FillScratch::default(),
             rates_buf: Vec::new(),
             obs: None,
+            mode,
         }
-    }
-
-    /// The solver mode this simulator was built with.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.mode
     }
 
     /// Cap the worker lanes used for component-parallel solving. `0`
@@ -881,9 +625,7 @@ impl FluidSim {
         self.res_eff_cap.push(capacity);
         self.res_load.push(0.0);
         self.res_nflows.push(0);
-        self.res_flows.push(Vec::new());
         self.res_dirty.push(false);
-        self.res_visited.push(false);
         self.res_comp.push(NO_COMP);
         self.res_local.push(0);
         self.res_cold.push(ResourceCold {
@@ -1044,19 +786,11 @@ impl FluidSim {
                     updated_at: SimTime::ZERO,
                     epoch: 0,
                 });
-                self.flow_in_comp.push(false);
                 s
             }
         };
         for &(r, _) in &normalized {
             self.res_nflows[r.0 as usize] += 1;
-            if self.mode == SolverMode::Reference {
-                debug_assert!(self.res_flows[r.0 as usize]
-                    .last()
-                    .is_none_or(|&s| self.slots[s as usize].fid < fid));
-                // Flow ids are monotonic, so the fid-sorted index appends.
-                self.res_flows[r.0 as usize].push(slot);
-            }
             self.mark_dirty(r);
         }
         let n = u32::try_from(normalized.len()).expect("route too long");
@@ -1087,117 +821,21 @@ impl FluidSim {
         f.epoch = 0;
         let id = FlowId(fid);
         self.index.insert(id, slot);
-        if self.mode == SolverMode::Incremental {
-            self.join_component(fid, slot, &normalized);
-        }
+        self.join_component(fid, slot, &normalized);
         self.stats.flow_starts += 1;
         id
     }
 
-    /// Append a new flow's row to the component its route touches
-    /// (Incremental mode). Flow ids are monotonic, so the append keeps the
-    /// rows in fid order. A route over resources no flow crosses opens a
-    /// new component; one that bridges several components absorbs the
-    /// smaller ones into the largest, whose rows are interleaved with
-    /// theirs at the next recompute.
-    fn join_component(&mut self, fid: u64, slot: u32, route: &[(ResourceId, f64)]) {
-        let mut root = NO_COMP;
-        for &(r, _) in route {
-            let c = self.res_comp[r.0 as usize];
-            if c != NO_COMP && c != root {
-                root = if root == NO_COMP {
-                    c
-                } else {
-                    self.absorb(root, c)
-                };
-            }
-        }
-        if root == NO_COMP {
-            root = self.new_comp();
-        }
-        let comp = &mut self.comps[root as usize];
-        for &(r, _) in route {
-            let ri = r.0 as usize;
-            if self.res_comp[ri] == NO_COMP {
-                self.res_comp[ri] = root;
-                self.res_local[ri] = comp.res.len() as u32;
-                comp.res.push(r.0);
-            }
-        }
-        let res_local = &self.res_local;
-        comp.push_row(
-            fid,
-            slot,
-            route.iter().map(|&(r, w)| (res_local[r.0 as usize], w)),
-        );
-    }
-
-    /// Fold components `a` and `b` into one; returns the survivor, the
-    /// one with more resources. The other's resources move to the end of
-    /// the survivor's list and its rows (and those of anything it had
-    /// absorbed) are renumbered to match, then wait on the survivor's
-    /// `absorbed` list for the fid-order merge at the next recompute.
-    fn absorb(&mut self, a: u32, b: u32) -> u32 {
-        let (root, gone) = if self.comps[a as usize].res.len() >= self.comps[b as usize].res.len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let mut g = std::mem::take(&mut self.comps[gone as usize]);
-        let mut r = std::mem::take(&mut self.comps[root as usize]);
-        let offset = r.res.len() as u32;
-        for &ri in &g.res {
-            self.res_comp[ri as usize] = root;
-            self.res_local[ri as usize] += offset;
-        }
-        r.res.append(&mut g.res);
-        for h in &mut g.prob.hop_res {
-            *h += offset;
-        }
-        for &x in &g.absorbed {
-            for h in &mut self.comps[x as usize].prob.hop_res {
-                *h += offset;
-            }
-        }
-        r.absorbed.push(gone);
-        r.absorbed.append(&mut g.absorbed);
-        r.dead.append(&mut g.dead);
-        self.comps[gone as usize] = g;
-        self.comps[root as usize] = r;
-        root
-    }
-
-    /// Drop `id` from the crossing counts and from its component (or, in
-    /// Reference mode, from every per-resource crossing index), and mark
-    /// its resources dirty.
+    /// Drop `id` from the crossing counts and from its component, and mark
+    /// its resources dirty. Its row stays behind as a tombstone until the
+    /// next recompute.
     fn unlink_flow(&mut self, id: FlowId, slot: u32) {
         let (a, b) = {
             let f = &self.slots[slot as usize];
             (f.r_start as usize, (f.r_start + f.r_len) as usize)
         };
-        match self.mode {
-            SolverMode::Incremental => {
-                // The row stays behind as a tombstone until the next
-                // recompute.
-                let c = self.res_comp[self.route_arena[a].0 .0 as usize];
-                self.comps[c as usize].dead.push(id.0);
-            }
-            SolverMode::Reference => {
-                // The lists are fid-sorted and every listed slot (including
-                // the one being unlinked — its fid clears below) still
-                // carries a live fid, so binary search through the slot
-                // arena works.
-                let slots = &self.slots;
-                for &(r, _) in &self.route_arena[a..b] {
-                    let list = &mut self.res_flows[r.0 as usize];
-                    let i = list.binary_search_by_key(&id.0, |&s| slots[s as usize].fid);
-                    debug_assert!(i.is_ok(), "flow indexed on its route");
-                    if let Ok(i) = i {
-                        list.remove(i);
-                    }
-                }
-            }
-        }
+        let c = self.res_comp[self.route_arena[a].0 .0 as usize];
+        self.comps[c as usize].dead.push(id.0);
         for h in a..b {
             let r = self.route_arena[h].0;
             self.res_nflows[r.0 as usize] -= 1;
@@ -1241,14 +879,7 @@ impl FluidSim {
     /// The instant the next flow(s) will complete, or `None` if idle.
     pub fn next_completion_time(&mut self) -> Option<SimTime> {
         self.recompute_rates_if_dirty();
-        match self.mode {
-            SolverMode::Reference => self
-                .index
-                .values()
-                .map(|&s| predict(&self.slots[s as usize]))
-                .min(),
-            SolverMode::Incremental => self.completions.peek_valid(&self.slots),
-        }
+        self.completions.peek_valid(&self.slots)
     }
 
     /// Advance the clock to the next completion, removing and returning all
@@ -1258,46 +889,19 @@ impl FluidSim {
         if self.index.is_empty() {
             return None;
         }
-        self.recompute_rates_if_dirty();
-        let (at, mut done) = match self.mode {
-            SolverMode::Reference => {
-                // Identify the earliest finishers before touching state, so
-                // a flow that merely catches up at `at` isn't mistaken for
-                // complete.
-                let mut at = SimTime::MAX;
-                let mut done: Vec<FlowId> = Vec::new();
-                for (&id, &slot) in &self.index {
-                    let fin = predict(&self.slots[slot as usize]);
-                    if fin < at {
-                        at = fin;
-                        done.clear();
-                        done.push(id);
-                    } else if fin == at {
-                        done.push(id);
-                    }
-                }
-                (at, done)
-            }
-            SolverMode::Incremental => {
-                let at = self
-                    .completions
-                    .peek_valid(&self.slots)
-                    .expect("active flows must have pending completion entries");
-                let mut done: Vec<FlowId> = Vec::new();
-                self.completions.pop_batch(at, &self.slots, &mut done);
-                (at, done)
-            }
-        };
+        let at = self.next_completion_time()?;
+        let mut done = Vec::new();
+        self.completions.pop_batch(at, &self.slots, &mut done);
         done.sort_unstable();
         debug_assert!(!done.is_empty());
         self.now = at;
-        for &id in &done {
-            let slot = self.index.remove(&id).expect("completion bookkeeping");
+        for &(id, slot) in &done {
+            self.index.remove(&id);
             if let Some(obs) = &self.obs {
                 let f = &self.slots[slot as usize];
                 let name = format!(
                     "xfer {}",
-                    self.route_arena[f.r_start as usize..(f.r_start + f.r_len) as usize]
+                    f.route(&self.route_arena)
                         .iter()
                         .map(|&(r, _)| self.res_cold[r.0 as usize].name.as_str())
                         .collect::<Vec<_>>()
@@ -1314,7 +918,7 @@ impl FluidSim {
             self.unlink_flow(id, slot);
             self.stats.completions += 1;
         }
-        Some((at, done))
+        Some((at, done.into_iter().map(|(id, _)| id).collect()))
     }
 
     /// Advance the clock to `t`, which must not pass the next completion
@@ -1382,10 +986,9 @@ impl FluidSim {
     }
 
     /// If rates are stale, re-solve the max-min allocation for every
-    /// component touched by a dirty resource (all components in
-    /// [`SolverMode::Reference`]). Disjoint components may be farmed out
-    /// to the worker pool; results merge serially in component order, so
-    /// the outcome is bit-identical at any thread count.
+    /// component touched by a dirty resource. Disjoint components may be
+    /// farmed out to the worker pool; results merge serially in component
+    /// order, so the outcome is bit-identical at any thread count.
     fn recompute_rates_if_dirty(&mut self) {
         if !self.rates_dirty {
             return;
@@ -1399,13 +1002,8 @@ impl FluidSim {
         // Phase 1: list what to solve, each component at its smallest
         // dirty seed (serial — it edits the component tables).
         let mut units = std::mem::take(&mut self.units);
-        match self.mode {
-            SolverMode::Incremental => {
-                seeds.sort_unstable();
-                self.list_cached(&seeds, &mut units);
-            }
-            SolverMode::Reference => self.list_from_scratch(&mut units),
-        }
+        seeds.sort_unstable();
+        self.list_cached(&seeds, &mut units);
         seeds.clear();
         self.dirty = seeds;
 
@@ -1413,95 +1011,23 @@ impl FluidSim {
         let total_rounds = self.solve_units(&mut units);
         self.stats.fill_rounds += total_rounds;
 
-        // Phase 3: hand the cached components back (Reference mode drops
-        // its from-scratch ones and clears the walk's marks), and publish
+        // Phase 3: hand the components back to the cache, and publish
         // effort counters (merge thread only — workers never touch the
         // recorder).
         for u in units.drain(..) {
             if let Unit::Comp(c, mut comp) = u {
-                if c != NO_COMP {
-                    comp.listed = false;
-                    self.comps[c as usize] = comp;
-                }
+                comp.listed = false;
+                self.comps[c as usize] = comp;
             }
         }
         self.units = units;
-        if self.mode == SolverMode::Reference {
-            self.res_visited.fill(false);
-        }
         if total_rounds > 0 {
             if let Some(obs) = &self.obs {
                 obs.rec
                     .counter_add_by(obs.rounds_counter, total_rounds as f64);
             }
         }
-    }
-
-    /// Incremental mode: bring each dirty component up to date and list
-    /// it at its smallest dirty seed; a seed no flow crosses is listed on
-    /// its own. The listed components are then moved out for the solve,
-    /// with their capacities refreshed.
-    fn list_cached(&mut self, seeds: &[ResourceId], units: &mut Vec<Unit>) {
-        for &seed in seeds {
-            let ri = seed.0 as usize;
-            let mut c = self.res_comp[ri];
-            if c != NO_COMP && !self.comps[c as usize].listed {
-                if !self.comps[c as usize].absorbed.is_empty() {
-                    self.merge_absorbed(c);
-                }
-                if !self.comps[c as usize].dead.is_empty() {
-                    self.rebuild_component(c);
-                }
-                c = self.res_comp[ri];
-            }
-            if c == NO_COMP {
-                units.push(Unit::Empty(seed.0));
-            } else if !self.comps[c as usize].listed {
-                self.comps[c as usize].listed = true;
-                units.push(Unit::Comp(c, Component::default()));
-            }
-        }
-        for u in units.iter_mut() {
-            if let Unit::Comp(c, comp) = u {
-                *comp = std::mem::take(&mut self.comps[*c as usize]);
-                let eff_cap = &self.res_eff_cap;
-                comp.prob.caps.clear();
-                comp.prob
-                    .caps
-                    .extend(comp.res.iter().map(|&r| eff_cap[r as usize]));
-            }
-        }
-    }
-
-    /// Reference mode: walk and compile every component from the
-    /// per-resource flow lists, in resource-id order.
-    fn list_from_scratch(&mut self, units: &mut Vec<Unit>) {
-        let mut res_local = std::mem::take(&mut self.res_local);
-        for ri in 0..self.res_capacity.len() {
-            if self.res_visited[ri] {
-                continue;
-            }
-            let mut comp = Component::default();
-            self.collect_component(ResourceId(ri as u32), &mut comp.res, &mut comp.flows);
-            if comp.flows.is_empty() {
-                units.push(Unit::Empty(ri as u32));
-                continue;
-            }
-            for (i, &r) in comp.res.iter().enumerate() {
-                res_local[r as usize] = i as u32;
-            }
-            build_problem(
-                &comp.res,
-                &comp.flows,
-                &self.slots,
-                &self.route_arena,
-                &self.res_eff_cap,
-                &res_local,
-                &mut comp.prob,
-            );
-            units.push(Unit::Comp(NO_COMP, comp));
-        }
-        self.res_local = res_local;
+        self.oracle_resolve();
     }
 
     /// Solve the listed units and apply their rates, in list order;
@@ -1578,248 +1104,6 @@ impl FluidSim {
         }
     }
 
-    /// A vacant component id: a recycled one, or a new slot.
-    fn new_comp(&mut self) -> u32 {
-        match self.comp_free.pop() {
-            Some(c) => c,
-            None => {
-                self.comps.push(Component::default());
-                (self.comps.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Interleave the rows of the components absorbed into `c` with its
-    /// own in fid order (each list is fid-sorted already, so this is a
-    /// k-way merge), and vacate the absorbed ids.
-    fn merge_absorbed(&mut self, c: u32) {
-        let mut comp = std::mem::take(&mut self.comps[c as usize]);
-        let mut runs = vec![Component {
-            flows: std::mem::take(&mut comp.flows),
-            prob: std::mem::take(&mut comp.prob),
-            ..Component::default()
-        }];
-        for &x in &comp.absorbed {
-            runs.push(std::mem::take(&mut self.comps[x as usize]));
-        }
-        let rows: usize = runs.iter().map(|run| run.flows.len()).sum();
-        let hops: usize = runs.iter().map(|run| run.prob.hop_res.len()).sum();
-        comp.flows.reserve_exact(rows);
-        comp.prob.off.reserve_exact(rows + 1);
-        comp.prob.hop_res.reserve_exact(hops);
-        comp.prob.hop_w.reserve_exact(hops);
-        let mut next = vec![0usize; runs.len()];
-        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = runs
-            .iter()
-            .enumerate()
-            .filter_map(|(k, run)| run.flows.first().map(|&(fid, _)| Reverse((fid, k))))
-            .collect();
-        while let Some(Reverse((_, k))) = heads.pop() {
-            let (run, i) = (&runs[k], next[k]);
-            let (fid, slot) = run.flows[i];
-            let p = &run.prob;
-            let (a, b) = (p.off[i] as usize, p.off[i + 1] as usize);
-            comp.push_row(fid, slot, (a..b).map(|h| (p.hop_res[h], p.hop_w[h])));
-            next[k] = i + 1;
-            if let Some(&(fid, _)) = run.flows.get(i + 1) {
-                heads.push(Reverse((fid, k)));
-            }
-        }
-        // Vacated ids hand their memory back: a component's lists are
-        // sized by its largest moment, and keeping them would pin that.
-        self.comp_free.append(&mut comp.absorbed);
-        self.comps[c as usize] = comp;
-    }
-
-    /// Bring component `c` up to date after it lost flows, with one
-    /// union-find pass over its live rows and one rewrite: tombstoned rows
-    /// go, resources no live row crosses leave the component, and what is
-    /// left splits into its connected pieces. The piece holding the
-    /// smallest surviving local id keeps `c`; the others move to fresh
-    /// components. Resources and rows keep their relative order, so every
-    /// piece's rows stay fid-sorted. Vacates `c` if nothing is left.
-    fn rebuild_component(&mut self, c: u32) {
-        let mut comp = std::mem::take(&mut self.comps[c as usize]);
-        comp.dead.sort_unstable();
-        let n = comp.res.len();
-        let mut scratch = std::mem::take(&mut self.comp_scratch);
-        scratch.clear();
-        scratch.resize(4 * n, NO_COMP);
-        // Per local resource: union-find parent (`NO_COMP` while no live
-        // row crosses it), piece, and id within the piece; per piece, its
-        // component id.
-        let (uf, rest) = scratch.split_at_mut(n);
-        let (piece, rest) = rest.split_at_mut(n);
-        let (local, ids) = rest.split_at_mut(n);
-        let p = &comp.prob;
-        let mut dead = comp.dead.iter().peekable();
-        // Resources some live row crosses, and links made between sets.
-        let (mut touched, mut links) = (0usize, 0usize);
-        for (i, &(fid, _)) in comp.flows.iter().enumerate() {
-            if dead.next_if_eq(&&fid).is_some() {
-                continue;
-            }
-            let (a, b) = (p.off[i] as usize, p.off[i + 1] as usize);
-            let mut root = NO_COMP;
-            for &h in &p.hop_res[a..b] {
-                if uf[h as usize] == NO_COMP {
-                    uf[h as usize] = h;
-                    touched += 1;
-                }
-                let x = uf_find(uf, h);
-                if root == NO_COMP {
-                    root = x;
-                } else if x != root {
-                    // Link to the smaller id, so a set's root is its first
-                    // member in local order.
-                    let (lo, hi) = (root.min(x), root.max(x));
-                    uf[hi as usize] = lo;
-                    root = lo;
-                    links += 1;
-                }
-            }
-        }
-        // One piece holding every resource keeps its local ids: the rows
-        // only close up over the tombstones. Otherwise
-        // number the pieces in order of their first resource and move the
-        // resources: `c`'s in place, the others' to fresh components.
-        let renumbered = touched != n || links + 1 != n;
-        if renumbered {
-            let (mut pieces, mut kept) = (0usize, 0usize);
-            for j in 0..n {
-                let r = comp.res[j] as usize;
-                if uf[j] == NO_COMP {
-                    self.res_comp[r] = NO_COMP;
-                    continue;
-                }
-                let root = uf_find(uf, j as u32) as usize;
-                piece[j] = if root == j {
-                    ids[pieces] = if pieces == 0 { c } else { self.new_comp() };
-                    pieces += 1;
-                    (pieces - 1) as u32
-                } else {
-                    piece[root]
-                };
-                let id = ids[piece[j] as usize];
-                if id == c {
-                    local[j] = kept as u32;
-                    comp.res[kept] = r as u32;
-                    kept += 1;
-                } else {
-                    let other = &mut self.comps[id as usize];
-                    local[j] = other.res.len() as u32;
-                    other.res.push(r as u32);
-                    self.res_comp[r] = id;
-                }
-                self.res_local[r] = local[j];
-            }
-            comp.res.truncate(kept);
-        }
-        // Rows follow their first hop's piece; `c`'s are rewritten in
-        // place (the write cursor never passes the read cursor).
-        let mut dead = comp.dead.iter().peekable();
-        let (mut rows, mut hw, mut a) = (0usize, 0usize, 0usize);
-        for i in 0..comp.flows.len() {
-            let p = &mut comp.prob;
-            let b = p.off[i + 1] as usize;
-            let (fid, slot) = comp.flows[i];
-            if dead.next_if_eq(&&fid).is_none() {
-                let id = if renumbered {
-                    ids[piece[p.hop_res[a] as usize] as usize]
-                } else {
-                    c
-                };
-                if id == c {
-                    if renumbered {
-                        for h in a..b {
-                            p.hop_res[hw] = local[p.hop_res[h] as usize];
-                            p.hop_w[hw] = p.hop_w[h];
-                            hw += 1;
-                        }
-                    } else {
-                        p.hop_res.copy_within(a..b, hw);
-                        p.hop_w.copy_within(a..b, hw);
-                        hw += b - a;
-                    }
-                    comp.flows[rows] = (fid, slot);
-                    rows += 1;
-                    p.off[rows] = hw as u32;
-                } else {
-                    let hops = (a..b).map(|h| (local[p.hop_res[h] as usize], p.hop_w[h]));
-                    self.comps[id as usize].push_row(fid, slot, hops);
-                }
-            }
-            a = b;
-        }
-        comp.flows.truncate(rows);
-        comp.prob.off.truncate(rows + 1);
-        comp.prob.hop_res.truncate(hw);
-        comp.prob.hop_w.truncate(hw);
-        comp.dead.clear();
-        if rows == 0 {
-            comp = Component::default();
-            self.comp_free.push(c);
-        }
-        self.comps[c as usize] = comp;
-        self.comp_scratch = scratch;
-    }
-
-    /// Collect the connected component of the flow↔resource graph
-    /// containing `seed` from the per-resource flow lists — the
-    /// from-scratch walk of [`SolverMode::Reference`], and the oracle the
-    /// persistent components are tested against. `comp_flows` comes back
-    /// sorted ascending by id so fill iteration order — and therefore
-    /// every f64 rounding — is independent of which resource seeded the
-    /// walk; `comp_res` stays in (equally deterministic) discovery order.
-    /// Leaves the walk's marks set: the caller clears them.
-    fn collect_component(
-        &mut self,
-        seed: ResourceId,
-        comp_res: &mut Vec<u32>,
-        comp_flows: &mut Vec<(u64, u32)>,
-    ) {
-        let mut stack = std::mem::take(&mut self.bfs_stack);
-        stack.clear();
-        // Disjoint-field borrows: the walk reads the crossing indexes and
-        // routes, and writes only the two scratch bitmaps. Resources are
-        // marked visited when *pushed*, so each enters the stack exactly
-        // once and no pop needs a revisit check.
-        let res_flows = &self.res_flows;
-        let slots = &self.slots;
-        let arena = &self.route_arena;
-        let res_visited = &mut self.res_visited;
-        let flow_in_comp = &mut self.flow_in_comp;
-        res_visited[seed.0 as usize] = true;
-        stack.push(seed.0);
-        while let Some(ri) = stack.pop() {
-            comp_res.push(ri);
-            for &slot in &res_flows[ri as usize] {
-                if flow_in_comp[slot as usize] {
-                    continue;
-                }
-                flow_in_comp[slot as usize] = true;
-                let f = &slots[slot as usize];
-                comp_flows.push((f.fid, slot));
-                let route = &arena[f.r_start as usize..(f.r_start + f.r_len) as usize];
-                for &(r, _) in route {
-                    if !res_visited[r.0 as usize] {
-                        res_visited[r.0 as usize] = true;
-                        stack.push(r.0);
-                    }
-                }
-            }
-        }
-        self.bfs_stack = stack;
-        // Flows must come out sorted by id: flow order fixes the f64
-        // accumulation order of every weight/load sum. Resource order, by
-        // contrast, only feeds order-*independent* operations — an exact
-        // min reduction, per-resource flag sets and disjoint stat syncs —
-        // so comp_res legitimately stays in discovery order (which is
-        // itself deterministic: the walk is seeded and expanded from
-        // fid-sorted index lists, never from hash/timing state).
-        comp_flows.sort_unstable();
-    }
-
     /// Settle-and-apply one component's freshly solved rates, then refresh
     /// its per-resource loads. Serial and deterministic: this is the merge
     /// step the parallel path funnels into.
@@ -1833,20 +1117,13 @@ impl FluidSim {
         debug_assert_eq!(comp_flows.len(), rates.len());
         debug_assert!(prob.is_some() || comp_flows.is_empty());
         let now = self.now;
-        let mode = self.mode;
-        let arena = &self.route_arena;
-        let slots = &mut self.slots;
-        let flow_in_comp = &mut self.flow_in_comp;
-        let completions = &mut self.completions;
         for (i, &(fid, slot)) in comp_flows.iter().enumerate() {
             // Settle and apply, but only where the rate actually changed:
             // an untouched flow keeps its (updated_at, remaining, rate)
-            // triple bit-identical, so its heap entry — and the
-            // Reference-mode linear scan — still predict the same finish
-            // instant.
-            let f = &mut slots[slot as usize];
+            // triple bit-identical, so its heap entry still predicts the
+            // same finish instant.
+            let f = &mut self.slots[slot as usize];
             let nr = rates[i];
-            let mut entry: Option<(u32, CompEntry)> = None;
             if f.rate != nr {
                 let dt = now.since(f.updated_at).as_secs_f64();
                 if dt > 0.0 {
@@ -1855,22 +1132,14 @@ impl FluidSim {
                 f.updated_at = now;
                 f.rate = nr;
                 f.epoch += 1;
-                if mode == SolverMode::Incremental {
-                    let at = predict(f);
-                    entry = Some((
-                        arena[f.r_start as usize].0 .0,
-                        CompEntry {
-                            at,
-                            id: FlowId(fid),
-                            epoch: f.epoch,
-                            slot,
-                        },
-                    ));
-                }
-            }
-            flow_in_comp[slot as usize] = false;
-            if let Some((r0, e)) = entry {
-                completions.push(r0, e);
+                let e = CompEntry {
+                    at: predict(f),
+                    id: FlowId(fid),
+                    epoch: f.epoch,
+                    slot,
+                };
+                self.completions
+                    .push(self.route_arena[f.r_start as usize].0 .0, e);
             }
         }
         // Refresh per-resource loads by scattering each flow's rate×weight
@@ -1902,13 +1171,53 @@ impl FluidSim {
         }
         self.load_buf = load_buf;
     }
+}
 
-    /// Drop every queued completion entry (test hook for shard accounting).
+/// Outside test builds there is no oracle, so its seam at the end of every
+/// recompute is empty.
+#[cfg(not(test))]
+impl FluidSim {
+    fn oracle_resolve(&mut self) {}
+}
+
+// `SolverMode` stays the last item of the product code: its test-only
+// variant opens this file's test section.
+/// Selects how [`FluidSim`] re-derives the max-min allocation after a
+/// structural event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SolverMode {
+    /// Re-solve only the connected components touched since the last
+    /// recompute, and pop completions from a predicted-finish heap. The
+    /// default, and the only solver outside test builds.
+    #[default]
+    Incremental,
+    /// The test oracle (see the `oracle` module): every recompute also
+    /// re-solves every component from scratch, and completions are found
+    /// from a scan of every active flow. Shares the per-component fill
+    /// arithmetic, so it agrees with `Incremental` bit for bit.
     #[cfg(test)]
+    Reference,
+}
+
+#[cfg(test)]
+impl CompletionShards {
+    fn clear(&mut self) {
+        for h in &mut self.shards {
+            h.clear();
+        }
+    }
+}
+
+#[cfg(test)]
+impl FluidSim {
+    /// Drop every queued completion entry (test hook for shard accounting).
     fn clear_completions(&mut self) {
         self.completions.clear();
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -2264,14 +1573,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pending completion entries")]
     fn cleared_completions_are_detected() {
+        // A flow whose completion entry is lost never completes: the
+        // advance reports nothing due and the flow stays active, rather
+        // than the engine inventing a finish time.
         let mut sim = FluidSim::new();
         let link = sim.add_resource("link", 100.0);
         sim.start_flow(100.0, &Route::unit([link]));
         sim.flow_rate(FlowId(0));
         sim.clear_completions();
-        sim.advance_to_next_completion();
+        assert_eq!(sim.advance_to_next_completion(), None);
+        assert_eq!(sim.active_flows(), 1);
     }
 
     #[test]
@@ -2317,33 +1629,24 @@ mod tests {
     /// fid-ordered flows, and its CSR rows are those flows' routes. The
     /// component id is unset exactly on resources no flow crosses, and
     /// every id that is not in use is on the free list.
-    fn assert_components_match_walk(sim: &mut FluidSim) {
+    fn assert_components_match_walk(sim: &FluidSim) {
         assert!(!sim.rates_dirty, "check after a recompute");
-        // Incremental mode keeps no crossing index; build the one the walk
-        // reads from the slot arena, in fid order.
-        for &slot in sim.index.values() {
-            let f = &sim.slots[slot as usize];
-            for &(r, _) in &sim.route_arena[f.r_start as usize..(f.r_start + f.r_len) as usize] {
-                sim.res_flows[r.0 as usize].push(slot);
-            }
-        }
+        let res_flows = sim.crossing_index();
+        let mut visited = vec![false; res_flows.len()];
         let mut seen = vec![false; sim.comps.len()];
         for ri in 0..sim.resource_count() {
             let c = sim.res_comp[ri];
-            assert_eq!(sim.res_nflows[ri] as usize, sim.res_flows[ri].len());
+            assert_eq!(sim.res_nflows[ri] as usize, res_flows[ri].len());
             assert_eq!(
                 c == NO_COMP,
-                sim.res_flows[ri].is_empty(),
+                res_flows[ri].is_empty(),
                 "resource {ri}: component id set iff a flow crosses it"
             );
             if c == NO_COMP || seen[c as usize] {
                 continue;
             }
             seen[c as usize] = true;
-            let (mut res, mut flows) = (Vec::new(), Vec::new());
-            sim.collect_component(ResourceId(ri as u32), &mut res, &mut flows);
-            sim.res_visited.fill(false);
-            sim.flow_in_comp.fill(false);
+            let (mut res, flows) = sim.collect_component(&res_flows, ri as u32, &mut visited);
             let comp = &sim.comps[c as usize];
             assert!(comp.absorbed.is_empty() && comp.dead.is_empty() && !comp.listed);
             assert_eq!(comp.flows, flows, "component {c}: flows");
@@ -2360,8 +1663,7 @@ mod tests {
             let p = &comp.prob;
             assert_eq!(p.off.len(), comp.flows.len() + 1);
             for (i, &(_, slot)) in comp.flows.iter().enumerate() {
-                let f = &sim.slots[slot as usize];
-                let route = &sim.route_arena[f.r_start as usize..(f.r_start + f.r_len) as usize];
+                let route = sim.slots[slot as usize].route(&sim.route_arena);
                 let row: Vec<(ResourceId, f64)> = (p.off[i] as usize..p.off[i + 1] as usize)
                     .map(|h| (ResourceId(comp.res[p.hop_res[h] as usize]), p.hop_w[h]))
                     .collect();
@@ -2376,9 +1678,6 @@ mod tests {
         assert_eq!(free, unused, "vacated ids are exactly the free list");
         for &c in &free {
             assert!(sim.comps[c as usize].flows.is_empty());
-        }
-        for list in &mut sim.res_flows {
-            list.clear();
         }
     }
 
@@ -2412,7 +1711,7 @@ mod tests {
                 while k < s.events.len() {
                     let t = SimTime(s.events[k].0);
                     while sim.next_completion_time().is_some_and(|tc| tc <= t) {
-                        assert_components_match_walk(&mut sim);
+                        assert_components_match_walk(&sim);
                         if let Some((_, done)) = sim.advance_to_next_completion() {
                             active.retain(|f| !done.contains(f));
                         }
@@ -2443,11 +1742,11 @@ mod tests {
                         k += 1;
                     }
                     sim.next_completion_time();
-                    assert_components_match_walk(&mut sim);
+                    assert_components_match_walk(&sim);
                 }
                 while sim.advance_to_next_completion().is_some() {
                     sim.next_completion_time();
-                    assert_components_match_walk(&mut sim);
+                    assert_components_match_walk(&sim);
                 }
             }
         }

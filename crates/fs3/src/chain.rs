@@ -320,11 +320,10 @@ impl Chain {
         replica: usize,
         targets: &[Arc<StorageTarget>],
     ) -> Result<Bytes, ChainError> {
-        if targets.is_empty() {
+        let Some(tail) = targets.last() else {
             return Err(ChainError::Empty);
-        }
+        };
         let t = &targets[replica % targets.len()];
-        let tail = targets.last().expect("non-empty");
         loop {
             match t.read_local(id) {
                 LocalRead::Clean(d) => return Ok(d),

@@ -288,12 +288,12 @@ impl ServingJob {
         let r = &mut self.replicas[rep];
         let mut prompt = 0u64;
         while r.batch.len() < self.max_batch {
-            let Some(w) = r.queue.front() else { break };
+            let Some(w) = r.queue.pop_front() else { break };
             let kv = (w.req.prompt_tokens as f64 + w.req.output_tokens as f64) * self.kv_per_token;
             if r.kv_used + kv > self.kv_capacity {
+                r.queue.push_front(w);
                 break;
             }
-            let w = r.queue.pop_front().expect("peeked above");
             r.kv_used += kv;
             prompt += w.req.prompt_tokens as u64;
             r.batch.push(InFlight {

@@ -4,10 +4,10 @@
 //! resource capacities plus a timestamped schedule of flow starts,
 //! degradations, restores, rate-cap changes and cancellations — entirely in
 //! plain indices so the bottom-of-stack `ff-util` crate stays independent
-//! of the simulator. The differential suite in `desim/tests/fluid_diff.rs`
-//! replays one scenario against several solver implementations and demands
-//! they agree; anything else replaying the same `(seed, config)` pair sees
-//! the exact same schedule.
+//! of the simulator. The differential suite of the fluid engine's test
+//! oracle (`desim/src/fluid/oracle.rs`) replays one scenario against
+//! several solver implementations and demands they agree; anything else
+//! replaying the same `(seed, config)` pair sees the exact same schedule.
 //!
 //! All numeric parameters are drawn from "nice" grids (capacities in
 //! multiples of 25, weights in halves, integral work units, degrade
