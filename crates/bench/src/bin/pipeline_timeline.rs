@@ -2,12 +2,65 @@
 //! node's stages for a 4-chunk allreduce between two nodes, showing the
 //! overlap the pipelining buys — D2H of chunk *c+1* under way while chunk
 //! *c* reduces and chunk *c−1* is on the wire.
+//!
+//! With `--trace <path>`, it instead runs one traced double-binary-tree
+//! allreduce and one traced executable HFReduce (per-rank send/recv spans
+//! on logical clocks) and writes them as Chrome trace-event JSON — open it
+//! in <https://ui.perfetto.dev>.
 
 use ff_desim::{DagSim, FluidSim, SimTime, Work};
 use ff_hw::{NodeHw, NodeSpec, TransferMethod};
+use ff_obs::{chrome::export_chrome_json, summary::summary_text, Recorder};
+use ff_reduce::{run_allreduce, run_hfreduce, Algo, InMemProvider, ObsCtx};
+use std::hint::black_box;
+
+const LEN: usize = 1 << 14;
+
+fn inputs(ranks: usize) -> Vec<Vec<f32>> {
+    (0..ranks)
+        .map(|r| (0..LEN).map(|i| ((r * 31 + i) % 17) as f32).collect())
+        .collect()
+}
+
+fn write_trace(path: &str) -> std::io::Result<()> {
+    let rec = Recorder::new();
+    black_box(run_allreduce(
+        inputs(8),
+        Algo::DbTree { chunks: 4 },
+        &InMemProvider,
+        Some(&ObsCtx::new(&rec, "reduce/dbtree", 0)),
+    ));
+    let hf_base = rec.last_ts_ns();
+    let bufs: Vec<Vec<Vec<f32>>> = (0..4)
+        .map(|v| {
+            (0..8)
+                .map(|gpu| (0..LEN).map(|i| ((v * 8 + gpu + i) % 17) as f32).collect())
+                .collect()
+        })
+        .collect();
+    black_box(run_hfreduce(
+        bufs,
+        4,
+        &InMemProvider,
+        Some(&ObsCtx::new(&rec, "reduce/hfreduce", hf_base)),
+    ));
+    std::fs::write(path, export_chrome_json(&rec))?;
+    println!("{}", summary_text(&rec));
+    println!("trace digest : {}", rec.digest());
+    println!("trace written: {path} (open in https://ui.perfetto.dev)");
+    Ok(())
+}
 
 #[allow(clippy::needless_range_loop)] // GPU index mirrors chained per-GPU state
-fn main() {
+fn main() -> std::io::Result<()> {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(path) = args
+        .iter()
+        .position(|a| a == "--trace")
+        .and_then(|i| args.get(i + 1))
+    {
+        return write_trace(path);
+    }
     let mut fluid = FluidSim::new();
     let hw = NodeHw::install(&mut fluid, "node0", &NodeSpec::pcie_a100());
     // A stand-in for the NIC wire + peer (tree edge to the other node).
@@ -101,4 +154,5 @@ fn main() {
         "\nmakespan {:.3} ms — stage k of chunk c overlaps stage k−1 of chunk c+1 (Algorithm 1).",
         total * 1e3
     );
+    Ok(())
 }

@@ -8,8 +8,8 @@
 //! intensity (`FaultPlan` rate scale), checkpoint cadence, the
 //! serving/training mix and the 3FS chain replication factor, where every
 //! cell is a full seeded [`Platform`] replay in fluid mode. Cells run in
-//! parallel on the std-only [`ff_util::par`] pool; because cells are
-//! dispatched by index and merged by index ([`ParPool::map_weighted`]
+//! parallel on the std-only [`ff_util::par`] map; because cells are
+//! dispatched by index and merged by index ([`par::map_weighted`]
 //! returns results in input order), the aggregate is **bit-identical for
 //! a given `(seed, grid)` at any worker count** — determinism is by
 //! construction, and `bench/tests/fleet_props.rs` re-proves it every run.
@@ -24,7 +24,6 @@
 //! §VII-A "5-minute interval" and the grid stays affordable at full
 //! cluster scale.
 //!
-//! [`ParPool::map_weighted`]: ff_util::par::ParPool::map_weighted
 //! [`Platform`]: ff_platform::Platform
 
 use ff_failures::{FailureGenerator, FaultPlan, GrayPlan, GrayRates};
@@ -306,7 +305,7 @@ fn submit_mix(p: &mut Platform, rng: &mut ChaCha8Rng, headroom: usize) -> Vec<(T
 }
 
 /// Run one cell: a full fluid-mode platform replay. A plain `fn` so the
-/// sweep can hand it to [`par::ParPool::map_weighted`] as a pointer; a
+/// sweep can hand it to [`par::map_weighted`] as a pointer; a
 /// pure function of its spec, which is what the thread-count and
 /// permutation properties certify.
 pub fn run_cell(c: CellSpec) -> ScenarioOutcome {
@@ -453,7 +452,7 @@ pub struct FleetResult {
     pub digest: String,
 }
 
-/// Run the whole grid on the shared pool. Outcomes come back in grid
+/// Run the whole grid on parallel lanes. Outcomes come back in grid
 /// order whatever `cfg.workers` says, so the result — digest included —
 /// is bit-identical at any worker count.
 pub fn sweep(cfg: &FleetConfig) -> FleetResult {
@@ -461,7 +460,7 @@ pub fn sweep(cfg: &FleetConfig) -> FleetResult {
         .into_iter()
         .map(|c| (cell_weight(&c), c))
         .collect();
-    let outcomes = par::pool().map_weighted(items, cfg.workers.max(1), run_cell);
+    let outcomes = par::map_weighted(items, cfg.workers.max(1), run_cell);
     let digest = digest(&outcomes);
     FleetResult { outcomes, digest }
 }

@@ -1,7 +1,7 @@
 //! The pure solve: progressive filling over one compiled component.
 //!
 //! Nothing here reads or writes simulator state. A component's problem
-//! goes in and its rates come out, which is what lets the worker pool
+//! goes in and its rates come out, which is what lets parallel lanes
 //! solve components side by side and still match the serial path bit for
 //! bit.
 
@@ -141,8 +141,8 @@ pub(super) fn water_fill(p: &CompProblem, rates: &mut Vec<f64>, s: &mut FillScra
     rounds
 }
 
-/// Pool entry point: solve one compiled component. A pure `fn` so the
-/// worker pool can ship it without capturing any simulator state. The
+/// Parallel entry point: solve one compiled component. A pure `fn` so a
+/// worker lane can run it without capturing any simulator state. The
 /// problem rides back with the result, to its component — the merge step
 /// reuses its CSR to refresh loads.
 pub(super) fn solve_problem(p: CompProblem) -> (CompProblem, Vec<f64>, u64) {

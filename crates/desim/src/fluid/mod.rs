@@ -67,7 +67,7 @@
 //! ## Component-parallel solving
 //!
 //! Disjoint components are independent subproblems, so one recompute can
-//! solve them on the [`ff_util::par`] worker pool. Determinism is by
+//! solve them side by side with [`ff_util::par::map_weighted`]. Determinism is by
 //! construction, not by luck:
 //!
 //! * each component's compiled problem (capacities + CSR routes) is moved
@@ -97,8 +97,8 @@
 //! every recompute it walks, compiles and re-solves every component from
 //! scratch, applies that answer, and rebuilds the completion heap from a
 //! scan of every active flow. The fill arithmetic is the shared one. The
-//! oracle's differential suite holds the incremental solver, the worker
-//! pool and the oracle bit-exactly equal on over a thousand seeded random
+//! oracle's differential suite holds the incremental solver, the parallel
+//! path and the oracle bit-exactly equal on over a thousand seeded random
 //! schedules, and a brute-force global water-fill within 1e-9.
 //!
 //! The code is split by concern: `component` is the persistent cache,
@@ -347,7 +347,7 @@ pub struct SolverStats {
     pub flow_solves: u64,
     /// Water-filling rounds executed.
     pub fill_rounds: u64,
-    /// Recomputes whose components were solved on the worker pool.
+    /// Recomputes whose components were solved on parallel lanes.
     pub parallel_batches: u64,
 }
 
@@ -383,9 +383,10 @@ enum Unit {
 }
 
 /// Default total-hop-count threshold above which a multi-component
-/// recompute is dispatched to the worker pool. Dispatch and merge cost
-/// a few hundred nanoseconds per flow, so small recomputes (the common
-/// per-event case) stay inline.
+/// recompute is solved on parallel lanes. Each lane past the first is a
+/// thread spawn (tens of microseconds) and the merge costs a few hundred
+/// nanoseconds per flow, so small recomputes (the common per-event case)
+/// stay inline.
 const DEFAULT_PAR_THRESHOLD: u64 = 16 * 1024;
 
 /// The fluid-flow simulator. See the [module docs](self) for the model.
@@ -452,7 +453,7 @@ pub struct FluidSim {
     /// `res_dirty`.
     dirty: Vec<ResourceId>,
     completions: CompletionShards,
-    /// Worker lanes for component-parallel solving; 0 = the pool default.
+    /// Worker lanes for component-parallel solving; 0 = the default width.
     threads: usize,
     /// Minimum total hop count before a recompute goes parallel.
     par_threshold: u64,
@@ -526,21 +527,21 @@ impl FluidSim {
     }
 
     /// Cap the worker lanes used for component-parallel solving. `0`
-    /// (the default) means the `ff_util::par` pool default (which honors
-    /// `RAYON_NUM_THREADS` / `FF_THREADS`); `1` forces fully serial
+    /// (the default) means `ff_util::par::default_threads()` (which honors
+    /// `RAYON_NUM_THREADS`); `1` forces fully serial
     /// solving. Results are bit-identical at every setting — this knob
     /// trades wall-clock only.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
 
-    /// The configured worker-lane cap (`0` = pool default).
+    /// The configured worker-lane cap (`0` = the default width).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
     /// Total route-hop count a recompute must reach before its components
-    /// are dispatched to the worker pool. `0` parallelizes every
+    /// are solved on parallel lanes. `0` parallelizes every
     /// multi-component recompute (used by the determinism tests);
     /// `u64::MAX` disables the parallel path.
     pub fn set_par_threshold(&mut self, hops: u64) {
@@ -987,7 +988,7 @@ impl FluidSim {
 
     /// If rates are stale, re-solve the max-min allocation for every
     /// component touched by a dirty resource. Disjoint components may be
-    /// farmed out to the worker pool; results merge serially in component
+    /// farmed out to parallel lanes; results merge serially in component
     /// order, so the outcome is bit-identical at any thread count.
     fn recompute_rates_if_dirty(&mut self) {
         if !self.rates_dirty {
@@ -1032,7 +1033,7 @@ impl FluidSim {
 
     /// Solve the listed units and apply their rates, in list order;
     /// returns the fill rounds. Components are independent: go wide when
-    /// there is enough work to amortize the hand-off (the pool takes each
+    /// there is enough work to amortize the hand-off (a lane takes each
     /// component's CSR, moved out and back), otherwise solve inline with
     /// reusable scratch. Both paths run the identical fill.
     fn solve_units(&mut self, units: &mut [Unit]) -> u64 {
@@ -1061,9 +1062,7 @@ impl FluidSim {
                     jobs.push((hops.max(1), std::mem::take(&mut comp.prob)));
                 }
             }
-            let mut results = par::pool()
-                .map_weighted(jobs, width, solve_problem)
-                .into_iter();
+            let mut results = par::map_weighted(jobs, width, solve_problem).into_iter();
             for u in units.iter_mut() {
                 let mut rates = Vec::new();
                 if let Unit::Comp(_, comp) = u {
@@ -1180,8 +1179,6 @@ impl FluidSim {
     fn oracle_resolve(&mut self) {}
 }
 
-// `SolverMode` stays the last item of the product code: its test-only
-// variant opens this file's test section.
 /// Selects how [`FluidSim`] re-derives the max-min allocation after a
 /// structural event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -419,7 +419,7 @@ mod tests {
 
     /// Replay `s` through a `FluidSim`. `par_threads = Some(n)` forces the
     /// component-parallel path: every multi-component recompute is dispatched
-    /// to the worker pool at width `n` (threshold 0).
+    /// to parallel lanes at width `n` (threshold 0).
     fn replay_fluidsim(s: &Scenario, mode: SolverMode, par_threads: Option<usize>) -> Replay {
         let mut sim = FluidSim::with_solver(mode);
         if let Some(n) = par_threads {
@@ -573,7 +573,7 @@ mod tests {
             "seed {seed}: incremental and reference solver modes diverged"
         );
         // Component-parallel vs Reference: also bit-for-bit. Dispatch forced
-        // on (threshold 0) so even tiny recomputes exercise the pool path.
+        // on (threshold 0) so even tiny recomputes exercise the parallel path.
         let par = replay_fluidsim(&s, SolverMode::Incremental, Some(4));
         assert_eq!(
             par, refm,

@@ -8,7 +8,7 @@
 //! out-of-order stashing, element serialization, and the per-rank
 //! logical-clock observability discipline. Three backends ship:
 //!
-//! * [`InMemFabric`] — the default: `ff_util::channel` mpmc queues, one
+//! * [`InMemFabric`] — the default: `ff_util::channel` mpsc queues, one
 //!   inbox per rank, exactly the behaviour the collectives always had.
 //! * [`TcpFabric`] — ranks as OS threads exchanging length-prefixed
 //!   frames over real localhost TCP sockets (one full-duplex stream per
@@ -256,7 +256,7 @@ impl FramePool {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The default backend: one mpmc inbox per rank over `ff_util::channel`,
+/// The default backend: one mpsc inbox per rank over `ff_util::channel`,
 /// exactly the transport the collectives were originally wired to.
 pub struct InMemFabric {
     rank: usize,

@@ -1,8 +1,8 @@
-//! Multi-producer multi-consumer FIFO channels — the subset of
+//! Multi-producer single-consumer FIFO channels — the subset of
 //! `crossbeam-channel`'s API the workspace uses, plus `recv_timeout`,
 //! built on a mutex-protected queue and a condition variable.
 //!
-//! Disconnect semantics match crossbeam: `send` fails once every receiver
+//! Disconnect semantics match crossbeam: `send` fails once the receiver
 //! is gone; `recv` drains remaining messages and then fails once every
 //! sender is gone. These semantics are what lets the allreduce executor
 //! detect a dead peer rank instead of hanging.
@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error returned by [`Sender::send`] when all receivers are dropped;
+/// Error returned by [`Sender::send`] when the receiver is dropped;
 /// carries the unsent message back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
@@ -48,7 +48,7 @@ struct Shared<T> {
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
-    receivers: usize,
+    receiver: bool,
 }
 
 /// The sending half; cloneable.
@@ -56,18 +56,18 @@ pub struct Sender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// The receiving half; cloneable (any one receiver gets each message).
+/// The receiving half; there is exactly one per channel.
 pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// An unbounded mpmc channel.
+/// An unbounded mpsc channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
             senders: 1,
-            receivers: 1,
+            receiver: true,
         }),
         cv: Condvar::new(),
     });
@@ -80,10 +80,10 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
-    /// Enqueue a message; fails (returning it) if every receiver is gone.
+    /// Enqueue a message; fails (returning it) if the receiver is gone.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
         let mut st = self.shared.state.lock();
-        if st.receivers == 0 {
+        if !st.receiver {
             return Err(SendError(msg));
         }
         st.queue.push_back(msg);
@@ -163,25 +163,10 @@ impl<T> Receiver<T> {
     }
 }
 
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.shared.state.lock().receivers += 1;
-        Receiver {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
-        st.receivers -= 1;
-        let last = st.receivers == 0;
-        drop(st);
-        if last {
-            // Wake senders? Senders never block (unbounded); nothing to do.
-            self.shared.cv.notify_all();
-        }
+        // Senders never block (unbounded), so there is no one to wake.
+        self.shared.state.lock().receiver = false;
     }
 }
 
@@ -248,33 +233,5 @@ mod tests {
         drop(tx); // unblocks the receiver's final recv with RecvError
         let got = h.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn mpmc_every_message_consumed_once() {
-        let (tx, rx) = unbounded::<usize>();
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let rx = rx.clone();
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Ok(v) = rx.recv() {
-                        got.push(v);
-                    }
-                    got
-                })
-            })
-            .collect();
-        drop(rx);
-        for i in 0..1000 {
-            tx.send(i).unwrap();
-        }
-        drop(tx);
-        let mut all: Vec<usize> = consumers
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<_>>());
     }
 }

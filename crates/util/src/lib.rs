@@ -8,14 +8,14 @@
 //! - [`bytes::Bytes`] — cheaply cloneable, sliceable, immutable byte buffer
 //! - [`sync`] — `Mutex` / `RwLock` / `Condvar` with `parking_lot`'s
 //!   non-poisoning guard API
-//! - [`channel`] — multi-producer multi-consumer FIFO channels with
+//! - [`channel`] — multi-producer single-consumer FIFO channels with
 //!   disconnect semantics and `recv_timeout`
+//! - [`par`] — a deterministic weighted parallel map on scoped threads
 //! - [`rng`] — a seeded, deterministic ChaCha8 generator
 //!
 //! [`scengen`] builds on [`rng`] to generate seeded random fluid-simulation
 //! scenarios (topology + flow schedule) for differential solver testing.
 
-pub mod bench;
 pub mod bytes;
 pub mod channel;
 pub mod error;

@@ -1,14 +1,15 @@
-//! Direct unit/property coverage for the `ff_util::par` worker pool.
+//! Direct unit/property coverage for the `ff_util::par` parallel map.
 //!
-//! The pool is load-bearing for the component-parallel fluid solver
+//! The map is load-bearing for the component-parallel fluid solver
 //! (PR 6) and now for the Monte-Carlo fleet sweeper: both promise
 //! bit-identical results at any worker count, and that promise reduces to
 //! two properties tested here — the LPT lane packing is a pure function
 //! of the declared weights, and `map_weighted` returns results keyed by
 //! input index no matter which lane computed them.
 
-use ff_util::par::{lpt_pack, pool};
+use ff_util::par::{default_threads, lpt_pack, map_weighted};
 use ff_util::rng::ChaCha8Rng;
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // ---------------------------------------------------------------------------
@@ -109,14 +110,14 @@ fn lpt_zero_weights_still_advance_lanes() {
 }
 
 // ---------------------------------------------------------------------------
-// map_weighted: the pool primitive
+// map_weighted: the parallel primitive
 // ---------------------------------------------------------------------------
 
 #[test]
 fn single_item_any_width() {
     for width in [0, 1, 2, 8, 1000] {
         assert_eq!(
-            pool().map_weighted(vec![(7u64, 21u64)], width, |x| x * 2),
+            map_weighted(vec![(7u64, 21u64)], width, |x| x * 2),
             vec![42]
         );
     }
@@ -129,7 +130,7 @@ fn items_far_exceeding_lanes() {
     let items = || -> Vec<(u64, u64)> { (0..5000).map(|i| (i % 11, i)).collect() };
     let want: Vec<u64> = (0..5000).map(|i| i ^ (i << 7)).collect();
     for width in [2usize, 5, 8] {
-        assert_eq!(pool().map_weighted(items(), width, |x| x ^ (x << 7)), want);
+        assert_eq!(map_weighted(items(), width, |x| x ^ (x << 7)), want);
     }
 }
 
@@ -137,16 +138,16 @@ fn items_far_exceeding_lanes() {
 fn zero_width_config_means_serial() {
     // A `width = 0` caller (e.g. a misconfigured thread knob) degrades to
     // inline serial mapping, not a hang or a panic.
-    let out = pool().map_weighted(vec![(1u64, 1u32), (1, 2), (1, 3)], 0, |x| x + 10);
+    let out = map_weighted(vec![(1u64, 1u32), (1, 2), (1, 3)], 0, |x| x + 10);
     assert_eq!(out, vec![11, 12, 13]);
 }
 
 #[test]
 fn one_thread_config_runs_inline_on_caller() {
-    // width == 1 must not round-trip through the pool: the closure runs on
+    // width == 1 must not spawn a lane: the closure runs on
     // the calling thread (observable via thread name).
     let here = std::thread::current().id();
-    let out = pool().map_weighted(vec![(1u64, 0u8)], 1, |_| std::thread::current().id());
+    let out = map_weighted(vec![(1u64, 0u8)], 1, |_| std::thread::current().id());
     assert_eq!(out, vec![here]);
 }
 
@@ -154,9 +155,9 @@ fn one_thread_config_runs_inline_on_caller() {
 fn results_bitwise_identical_across_widths() {
     let items =
         |n: u64| -> Vec<(u64, f64)> { (0..n).map(|i| (i % 5 + 1, i as f64 * 0.1)).collect() };
-    let golden = pool().map_weighted(items(300), 1, |x| (x * 3.7).sin());
+    let golden = map_weighted(items(300), 1, |x| (x * 3.7).sin());
     for width in [2, 3, 4, 8] {
-        let got = pool().map_weighted(items(300), width, |x| (x * 3.7).sin());
+        let got = map_weighted(items(300), width, |x| (x * 3.7).sin());
         assert_eq!(golden.len(), got.len());
         for (a, b) in golden.iter().zip(&got) {
             assert_eq!(a.to_bits(), b.to_bits(), "width {width} diverged");
@@ -169,22 +170,46 @@ fn worker_panic_surfaces_as_error_not_hang() {
     // A panicking item must propagate a panic to the caller (not deadlock
     // waiting for a result that will never come)…
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        pool().map_weighted((0..64u32).map(|i| (1u64, i)).collect(), 4, |x| {
+        map_weighted((0..64u32).map(|i| (1u64, i)).collect(), 4, |x| {
             assert!(x != 33, "injected worker panic");
             x
         })
     }));
     assert!(caught.is_err(), "worker panic did not reach the caller");
-    // …and the pool must remain fully usable afterwards: the lane that
-    // caught the panic stays alive.
-    let out = pool().map_weighted((0..64u32).map(|i| (1u64, i)).collect(), 4, |x| x + 1);
+    // …and the map must remain fully usable afterwards.
+    let out = map_weighted((0..64u32).map(|i| (1u64, i)).collect(), 4, |x| x + 1);
     assert_eq!(out, (1..65u32).collect::<Vec<_>>());
 }
 
 #[test]
-fn pool_reports_at_least_eight_workers() {
+fn lanes_run_on_distinct_threads_up_to_the_cap() {
     // The determinism suites rely on genuinely oversubscribing a
-    // single-core box: the global pool keeps ≥ 8 lanes regardless of the
-    // machine's parallelism.
-    assert!(pool().workers() >= 8);
+    // single-core box: a width-8 call runs on 8 threads whatever the
+    // machine's parallelism, and no call runs on more than
+    // max(default_threads(), 8).
+    fn threads_used(n: usize, width: usize) -> usize {
+        let ids = map_weighted((0..n).map(|i| (1u64, i)).collect(), width, |_| {
+            std::thread::current().id()
+        });
+        ids.into_iter().collect::<HashSet<_>>().len()
+    }
+    assert_eq!(threads_used(64, 8), 8);
+    assert!(threads_used(5000, 1000) <= default_threads().max(8));
+}
+
+#[test]
+fn nested_maps_do_not_deadlock() {
+    // Every outer lane calls the map again, as a fleet sweep over
+    // platforms with several solver threads does. Lanes that waited on a
+    // shared, fully occupied set of workers would never finish.
+    let width = default_threads().max(8);
+    let outer: Vec<(u64, u64)> = (0..width as u64).map(|i| (1, i)).collect();
+    let sums = map_weighted(outer, width, |i| {
+        let inner: Vec<(u64, u64)> = (0..4).map(|j| (1, i * 4 + j)).collect();
+        map_weighted(inner, 2, |x| x * x).into_iter().sum::<u64>()
+    });
+    let want: Vec<u64> = (0..width as u64)
+        .map(|i| (0..4).map(|j| (i * 4 + j) * (i * 4 + j)).sum())
+        .collect();
+    assert_eq!(sums, want);
 }

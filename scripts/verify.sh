@@ -52,29 +52,31 @@ cargo test -q --release --offline -p ff-bench --test detector_smoke
 echo "==> panic ratchet (unwrap()/expect(/panic! in non-test code)"
 # Every one of these is a way for input, a peer or a caller to take the
 # process down instead of getting a typed error, so the count only goes
-# down: each file under crates/*/src above its first #[cfg(test)],
-# perfbench (the benchmark's own directory) excluded. Lower PANIC_BUDGET
-# when a PR removes some; a PR that needs one more has to remove another.
-PANIC_BUDGET=142
-# The count stops at each file's first #[cfg(test)], so a test hook placed
-# above product code would hide that code from it. Every column-0 item
-# after the first #[cfg(test)] must therefore carry #[cfg(test)] itself;
-# the first item that does not is printed as file:line.
-hidden=$(find crates/*/src -name '*.rs' -not -path '*/bin/perfbench/*' -print0 | sort -z |
-    xargs -0 awk 'FNR == 1 { test = 0; tagged = 0; bad = 0 }
-        /#\[cfg\(test\)\]/ && !test { test = 1 }
-        !test || bad { next }
-        /^#\[cfg\(test\)\]/ { tagged = 1; next }
-        /^(#|\/\/)/ { next }
-        /^[A-Za-z]/ { if (!tagged) { print FILENAME ":" FNR; bad = 1 } tagged = 0 }')
-if [ -n "$hidden" ]; then
-    echo "panic ratchet: product items below a file's first #[cfg(test)]:" >&2
-    echo "$hidden" >&2
-    exit 1
-fi
+# down: every line under crates/*/src outside the items that carry
+# #[cfg(test)], perfbench (the benchmark's own directory) excluded. Lower
+# PANIC_BUDGET when a PR removes some; a PR that needs one more has to
+# remove another.
+PANIC_BUDGET=138
+# A skipped item starts at the first line after its attributes and
+# comments. A single-line item ends at its `;` (a variant or field at its
+# `,`), a block item where its brackets close; strings, char literals and
+# line comments do not count toward the brackets.
 panics=$(find crates/*/src -name '*.rs' -not -path '*/bin/perfbench/*' -print0 |
-    xargs -0 awk 'FNR == 1 { test = 0 } /#\[cfg\(test\)\]/ { test = 1 }
-        !test { n += gsub(/unwrap\(\)|expect\(|panic!/, "&") } END { print n + 0 }' |
+    xargs -0 awk 'FNR == 1 { skip = 0; pend = 0 }
+        skip {
+            if (pend && ($0 ~ /^[ \t]*$/ || $0 ~ /^[ \t]*(#\[|\/\/)/)) next
+            pend = 0
+            s = $0
+            gsub(/\\./, "", s); gsub(/"[^"]*"/, "", s); gsub(/\047[^\047]\047/, "", s)
+            sub(/\/\/.*/, "", s)
+            opened += gsub(/\{/, "&", s)
+            depth += gsub(/[{([]/, "&", s) - gsub(/[})\]]/, "&", s)
+            if (depth <= 0 && (opened || s ~ /[;,][ \t]*$/)) skip = 0
+            next
+        }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; pend = 1; depth = 0; opened = 0; next }
+        { n += gsub(/unwrap\(\)|expect\(|panic!/, "&") }
+        END { print n + 0 }' |
     awk '{ total += $1 } END { print total + 0 }')
 echo "$panics panic sites (budget $PANIC_BUDGET)"
 if [ "$panics" -gt "$PANIC_BUDGET" ]; then
