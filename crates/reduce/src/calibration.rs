@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 
 /// Payload of the latency-regime ping.
 const SMALL_BYTES: usize = 8;
-/// Echo-side patience; generous — the pinger drives the pace.
+/// How long either side waits on the other; generous — the pinger
+/// drives the pace.
 const ECHO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Measured transport constants for one backend, plus the raw meters the
@@ -62,19 +63,13 @@ fn ping_tag(i: u32) -> Tag {
     }
 }
 
-/// Echo every data frame straight back until the pinger hangs up.
+/// Echo every frame from rank 0 straight back until it hangs up.
 fn echo_loop<F: Fabric>(fab: &mut F) {
-    loop {
-        match fab.recv_any(ECHO_TIMEOUT) {
-            Ok(m) if m.tag.is_ctrl() => return,
-            Ok(m) => {
-                if fab.send(m.from, m.tag, &m.bytes).is_err() {
-                    return;
-                }
-                fab.recycle(m.bytes);
-            }
-            Err(_) => return,
+    while let Ok(m) = fab.recv(0, ECHO_TIMEOUT) {
+        if fab.send(0, m.tag, &m.bytes, ECHO_TIMEOUT).is_err() {
+            return;
         }
+        fab.recycle(m.bytes);
     }
 }
 
@@ -84,9 +79,10 @@ fn pingpong<F: Fabric>(fab: &mut F, payload: &[u8], count: usize, base: u32) -> 
     let t0 = Instant::now();
     for i in 0..count {
         let tag = ping_tag(base + i as u32);
-        fab.send(1, tag, payload).expect("calibration send");
+        fab.send(1, tag, payload, ECHO_TIMEOUT)
+            .expect("calibration send");
         let echo = fab
-            .recv_any(ECHO_TIMEOUT)
+            .recv(1, ECHO_TIMEOUT)
             .expect("calibration echo within timeout");
         assert_eq!(echo.tag, tag, "echo out of order");
         fab.recycle(echo.bytes);
@@ -122,7 +118,7 @@ pub fn calibrate<P: FabricProvider>(
         let small_elapsed = pingpong(&mut pinger, &small, rounds, 1000);
         let large_elapsed = pingpong(&mut pinger, &large, large_rounds, 1_000_000);
         let backend = pinger.backend().to_string();
-        drop(pinger); // hangup: the echo thread exits on the ctrl frame
+        drop(pinger); // hangup: the echo thread exits on it
         echo_thread.join().expect("echo thread");
         (backend, small_elapsed, large_elapsed)
     });

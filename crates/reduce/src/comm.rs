@@ -4,9 +4,9 @@
 //! provides every executable collective as a method — `allreduce` (double
 //! binary tree or ring), `reduce_scatter`, `allgather`, `reduce_to_root`,
 //! `broadcast`, `hfreduce`, and `all2all` — plus the plumbing they share:
-//! tag matching with an out-of-order stash, element serialization,
-//! peer-death bookkeeping, and the per-rank logical-clock observability
-//! discipline (a staged
+//! tag matching with an out-of-order stash, element serialization, one
+//! deadline per awaited frame, and the per-rank logical-clock
+//! observability discipline (a staged
 //! [`TrackBuf`] whose clock counts *elements moved*). The world-level
 //! drivers in [`exec`](crate::exec) spawn one thread per rank, hand each
 //! a `Communicator`, and commit the staged observability buffers only for
@@ -24,15 +24,14 @@
 //! routes structured tokens) implement [`Wire`] instead.
 
 use crate::fabric::{
-    CommError, Fabric, RecvAnyError, Tag, DEFAULT_RECV_TIMEOUT, PHASE_A2A, PHASE_DOWN, PHASE_RING,
-    PHASE_UP,
+    CommError, Fabric, Tag, DEFAULT_RECV_TIMEOUT, PHASE_A2A, PHASE_DOWN, PHASE_RING, PHASE_UP,
 };
 use crate::kernels::{chunk_ranges, reduce_n_in_place};
 use ff_dtypes::Element;
 use ff_obs::TrackBuf;
 use ff_topo::dbtree::{DoubleBinaryTree, Tree};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Reduction operator for [`Communicator::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,10 +263,10 @@ fn phase_char(phase: u8) -> char {
 /// harness verifies bit-for-bit across backends.
 pub struct Communicator<F: Fabric> {
     fab: F,
-    /// Out-of-order arrivals, keyed by `(sender, tag)`.
+    /// Frames that arrived from the awaited peer ahead of the one awaited,
+    /// keyed by `(sender, tag)`.
     stash: HashMap<(usize, Tag), Vec<u8>>,
-    /// Peers that delivered a hangup control frame.
-    dead: Vec<bool>,
+    /// How long a receive waits for its frame, and a send for progress.
     recv_timeout: Duration,
     /// Staged observability events; the world driver commits them only
     /// for clean executions (see [`ObsCtx`](crate::exec::ObsCtx)).
@@ -283,13 +282,12 @@ impl<F: Fabric> Communicator<F> {
     }
 
     /// Wrap a fabric endpoint with a custom receive timeout — the
-    /// liveness-detection latency for all collectives run through it.
+    /// liveness-detection latency for all collectives run through it. A
+    /// send that moves no byte for as long fails the same way.
     pub fn with_timeout(fab: F, recv_timeout: Duration) -> Communicator<F> {
-        let n = fab.world_size();
         Communicator {
             fab,
             stash: HashMap::new(),
-            dead: vec![false; n],
             recv_timeout,
             obs: None,
             wire: Vec::new(),
@@ -362,7 +360,8 @@ impl<F: Fabric> Communicator<F> {
         let len = encode_into(&mut self.wire, data);
         for &peer in to {
             self.note_send(peer, tag, data.len());
-            self.fab.send(peer, tag, &self.wire[..len])?;
+            self.fab
+                .send(peer, tag, &self.wire[..len], self.recv_timeout)?;
         }
         Ok(())
     }
@@ -378,16 +377,16 @@ impl<F: Fabric> Communicator<F> {
     ) -> Result<(), CommError> {
         for &peer in to {
             self.note_send(peer, tag, elems);
-            self.fab.send(peer, tag, frame)?;
+            self.fab.send(peer, tag, frame, self.recv_timeout)?;
         }
         Ok(())
     }
 
     /// Receive the frame `from` sent under `tag` straight into `dst` —
-    /// folded or copied, as `how` says — stashing any other traffic that
-    /// arrives first. The frame comes back still owned by the caller, to
-    /// relay or [`recycle`](Fabric::recycle); one that does not hold
-    /// exactly `dst.len()` elements is a [`CommError::Protocol`].
+    /// folded or copied, as `how` says — stashing any other frame of
+    /// `from`'s that arrives first. The frame comes back still owned by
+    /// the caller, to relay or [`recycle`](Fabric::recycle); one that does
+    /// not hold exactly `dst.len()` elements is a [`CommError::Protocol`].
     fn recv_elems<E: Element>(
         &mut self,
         from: usize,
@@ -403,44 +402,33 @@ impl<F: Fabric> Communicator<F> {
         Ok(frame)
     }
 
-    /// Tag-matched receive over the raw fabric. The stash is consulted
-    /// before the dead-peer flag: a message sent before a hangup must
-    /// still be deliverable after it (per-pair FIFO guarantees data
-    /// frames precede the hangup frame).
+    /// Tag-matched receive over the raw fabric: `from`'s frames arrive in
+    /// the order it sent them, and any under another tag wait in the stash
+    /// for the receive that names them. The stash is consulted first: a
+    /// frame sent before a hangup stays deliverable after it. One deadline
+    /// covers the whole wait, however many other frames arrive meanwhile.
     fn recv_raw(&mut self, from: usize, tag: Tag) -> Result<Vec<u8>, CommError> {
         if let Some(b) = self.stash.remove(&(from, tag)) {
             return Ok(b);
         }
-        if self.dead[from] {
-            return Err(CommError::Disconnected { peer: from });
-        }
+        let deadline = Instant::now() + self.recv_timeout;
         loop {
-            let msg = match self.fab.recv_any(self.recv_timeout) {
-                Ok(m) => m,
-                Err(RecvAnyError::Timeout) => {
-                    return Err(CommError::Timeout {
-                        peer: from,
-                        deadline: self.recv_timeout,
-                    })
-                }
-                Err(RecvAnyError::Closed) => return Err(CommError::Disconnected { peer: from }),
-            };
-            if msg.tag.is_ctrl() {
-                self.dead[msg.from] = true;
-                if msg.from == from {
-                    return Err(CommError::Disconnected { peer: from });
-                }
-                continue;
-            }
-            if msg.from == from && msg.tag == tag {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let msg = self.fab.recv(from, left).map_err(|e| match e {
+                CommError::Timeout { .. } => CommError::Timeout {
+                    peer: from,
+                    deadline: self.recv_timeout,
+                },
+                e => e,
+            })?;
+            if msg.tag == tag {
                 return Ok(msg.bytes);
             }
             // Two undelivered frames under one `(from, tag)` is something
             // no in-tree collective sends: a misbehaving peer, not a bug
             // to panic over.
-            let peer = msg.from;
-            if self.stash.insert((peer, msg.tag), msg.bytes).is_some() {
-                return Err(CommError::Protocol { peer });
+            if self.stash.insert((from, msg.tag), msg.bytes).is_some() {
+                return Err(CommError::Protocol { peer: from });
             }
         }
     }
@@ -749,7 +737,7 @@ impl<F: Fabric> Communicator<F> {
             // A dead destination cannot abort the exchange: the survivors
             // still complete theirs. Its silence surfaces below when this
             // rank waits for the dead peer's payload.
-            let _ = self.fab.send(dst, tag, &self.wire);
+            let _ = self.fab.send(dst, tag, &self.wire, self.recv_timeout);
         }
         for (src, slot) in out.iter_mut().enumerate() {
             if src == me {
@@ -856,7 +844,9 @@ mod tests {
         let mut world = InMemFabric::mesh(2);
         let mut rogue = world.remove(1 - me);
         for &(tag, len) in frames {
-            rogue.send(me, tag, &vec![0u8; len]).expect("send");
+            rogue
+                .send(me, tag, &vec![0u8; len], DEFAULT_RECV_TIMEOUT)
+                .expect("send");
         }
         (Communicator::new(world.remove(0)), rogue)
     }
@@ -932,6 +922,46 @@ mod tests {
             let (mut comm, _rogue) = with_rogue_peer(0, &[(Tag::new(PHASE_DOWN, 0, 0), bad)]);
             assert_eq!(comm.broadcast(&mut [1.0f32; 2], 1), Err(ROGUE), "{bad}");
         }
+    }
+
+    /// Rank 0 waits on rank 1, the broadcast root of a two-rank world,
+    /// while rank 1 — a bare endpoint — sends a frame under a fresh tag
+    /// every 40 ms for 800 ms and never the awaited one: the trickle must
+    /// not stretch rank 0's 150 ms deadline.
+    fn trickle_cannot_stretch_the_deadline<F: Fabric + 'static>(mut world: Vec<F>) {
+        let mut rogue = world.pop().expect("two");
+        let timeout = Duration::from_millis(150);
+        let mut comm = Communicator::with_timeout(world.pop().expect("two"), timeout);
+        let trickle = std::thread::spawn(move || {
+            for chunk in 0..20 {
+                // Rank 0 stops listening long before the trickle ends.
+                let _ = rogue.send(0, Tag::new(PHASE_UP, 0, chunk), &[0u8; 4], timeout);
+                std::thread::sleep(Duration::from_millis(40));
+            }
+        });
+        let t0 = Instant::now();
+        let res = comm.broadcast(&mut [0.0f32; 2], 1);
+        let took = t0.elapsed();
+        assert_eq!(
+            res,
+            Err(CommError::Timeout {
+                peer: 1,
+                deadline: timeout
+            })
+        );
+        assert!(took < Duration::from_millis(400), "took {took:?}");
+        drop(comm);
+        trickle.join().expect("trickle");
+    }
+
+    #[test]
+    fn a_trickle_of_other_tags_cannot_stretch_the_deadline_in_memory() {
+        trickle_cannot_stretch_the_deadline(InMemFabric::mesh(2));
+    }
+
+    #[test]
+    fn a_trickle_of_other_tags_cannot_stretch_the_deadline_over_tcp() {
+        trickle_cannot_stretch_the_deadline(crate::fabric::TcpFabric::mesh(2).expect("sockets"));
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! logical-clock observability discipline. Three backends ship:
 //!
 //! * [`InMemFabric`] — the default: `ff_util::channel` mpsc queues, one
-//!   inbox per rank, exactly the behaviour the collectives always had.
+//!   inbox per rank; a frame that arrives ahead of the receive naming its
+//!   sender waits in that sender's queue.
 //! * [`TcpFabric`] — ranks as OS threads exchanging length-prefixed
 //!   frames over real localhost TCP sockets (one full-duplex stream per
-//!   rank pair, `TCP_NODELAY`). Teardown is reconnect-free: a peer that
-//!   goes away surfaces as [`CommError::Disconnected`], never a hang.
+//!   rank pair, `TCP_NODELAY`). A rank reads the stream of the peer it
+//!   waits on, on its own thread: no reader threads, no inbox, so a frame
+//!   crosses no thread hand-off between the wire and its rank (RDMA
+//!   lands it in the waiting rank's buffer the same way). Teardown is
+//!   reconnect-free: a peer that goes away surfaces as
+//!   [`CommError::Disconnected`], never a hang.
 //! * [`FaultyFabric`] — middleware wrapping any backend: the rank's
 //!   endpoint goes silent after a configured number of sends, which is
 //!   how [`ExecFaultPlan`](crate::exec::ExecFaultPlan) injections reach
@@ -26,26 +31,35 @@
 //!
 //! A frame's buffer belongs to whoever holds the [`RawMsg`]; once its bytes
 //! are consumed the holder gives it back through [`Fabric::recycle`], and
-//! the backend fills it again — the TCP reader threads for the next
-//! inbound frame, [`InMemFabric::send`] for the next outbound one — so a
-//! steady run of collectives allocates no frames. What a backend keeps is
-//! capped ([`FRAME_POOL_MAX_FRAMES`], [`FRAME_POOL_MAX_BYTES`]): a length
-//! a peer chose is never memory a peer pins.
+//! the backend fills it again — [`TcpFabric::recv`] with the next inbound
+//! frame, [`InMemFabric::send`] with the next outbound one — so a steady
+//! run of collectives allocates no frames. What a backend keeps is capped
+//! ([`FRAME_POOL_MAX_FRAMES`], [`FRAME_POOL_MAX_BYTES`]): a length a peer
+//! chose is never memory a peer pins.
+//!
+//! Every receive names its peer ([`Fabric::recv`]), and the TCP backend
+//! keeps one progress rule so that no schedule the in-memory backend
+//! completes can deadlock on full socket buffers: a rank whose write or
+//! read has waited `TCP_STALL` (1 ms) reads ahead, without blocking, on
+//! every inbound stream into per-peer queues, then tries again.
 //!
 //! Both concrete backends share one liveness protocol: a fabric that is
-//! dropped (cleanly or because its rank died) delivers a *hangup* control
-//! frame to every peer — explicitly for in-memory channels, via FIN/EOF
-//! for TCP — so survivors observe [`CommError::Disconnected`] rather than
+//! dropped (cleanly or because its rank died) delivers a *hangup* to every
+//! peer — an explicit control frame over in-memory channels, FIN/EOF over
+//! TCP — so survivors observe [`CommError::Disconnected`] rather than
 //! waiting out their receive timeout. [`Fabric::set_silent_teardown`]
 //! suppresses the explicit hangup for injected deaths, which must look
 //! like a host falling silent (liveness then comes from the timeout, as
-//! on real hardware).
+//! on real hardware). A send that moves no byte for its timeout is a
+//! [`CommError::Timeout`], and over TCP it shuts the stream, so the peer
+//! sees a hangup rather than a torn frame.
 
 use ff_util::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default receive timeout for fault-free collectives: generous enough
 /// that scheduler hiccups never fire it.
@@ -66,14 +80,15 @@ pub enum CommError {
         /// The peer rank that hung up.
         peer: usize,
     },
-    /// No message from the peer within the receive timeout — the liveness
-    /// signal a real collective gets from a transport-level timeout.
-    /// Always carries the deadline that was configured, so "how long did
-    /// we wait" never has to be reconstructed from context.
+    /// No message from the peer within the receive timeout, or a send to
+    /// it that moved no byte for as long — the liveness signal a real
+    /// collective gets from a transport-level timeout. Always carries the
+    /// deadline that was configured, so "how long did we wait" never has
+    /// to be reconstructed from context.
     Timeout {
         /// The peer rank that went silent.
         peer: usize,
-        /// The configured receive deadline that expired.
+        /// The configured deadline that expired.
         deadline: Duration,
     },
     /// The peer delivered bytes that do not decode as the expected
@@ -176,17 +191,8 @@ pub struct RawMsg {
     pub bytes: Vec<u8>,
 }
 
-/// Why [`Fabric::recv_any`] returned no message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvAnyError {
-    /// The deadline passed without any inbound frame.
-    Timeout,
-    /// Every peer endpoint is gone and the inbox is drained.
-    Closed,
-}
-
 /// One rank's endpoint into the transport: send bytes to a peer by rank,
-/// receive the next inbound frame from anyone. Ordered and reliable per
+/// receive the next frame from a named peer. Ordered and reliable per
 /// peer pair — which is all the collectives assume of RDMA.
 pub trait Fabric: Send {
     /// This endpoint's rank.
@@ -195,14 +201,25 @@ pub trait Fabric: Send {
     fn world_size(&self) -> usize;
     /// Short backend name for diagnostics ("inmem", "tcp", ...).
     fn backend(&self) -> &'static str;
-    /// Send `bytes` under `tag` to `to`. Self-sends are a caller bug.
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError>;
-    /// Next inbound frame from any peer, waiting at most `timeout`.
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError>;
-    /// Give back the buffer of a frame [`recv_any`](Self::recv_any)
-    /// delivered, once its bytes are consumed, for the backend to fill
-    /// again. A frame that is never returned is merely freed, and a
-    /// backend with no use for it frees it here.
+    /// Send `bytes` under `tag` to `to`. Self-sends are a caller bug. A
+    /// send that moves no byte for `timeout` is a
+    /// [`CommError::Timeout`] naming `to`.
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        timeout: Duration,
+    ) -> Result<(), CommError>;
+    /// The next data frame from `from`, in per-pair FIFO order, waiting at
+    /// most `timeout` ([`CommError::Timeout`] with `deadline: timeout`).
+    /// Once `from` has hung up and every frame it sent before is
+    /// delivered, this is [`CommError::Disconnected`], and stays so.
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError>;
+    /// Give back the buffer of a frame [`recv`](Self::recv) delivered,
+    /// once its bytes are consumed, for the backend to fill again. A
+    /// frame that is never returned is merely freed, and a backend with
+    /// no use for it frees it here.
     fn recycle(&mut self, _frame: Vec<u8>) {}
     /// Suppress the explicit goodbye on drop: an injected death must look
     /// like silence, not a polite hangup. Backends whose teardown is
@@ -262,6 +279,9 @@ pub struct InMemFabric {
     rank: usize,
     txs: Vec<Sender<RawMsg>>,
     rx: Receiver<RawMsg>,
+    /// Per sender: frames (hangups included) taken from the inbox while
+    /// this rank waited on another peer.
+    early: Vec<VecDeque<RawMsg>>,
     /// Frames this rank consumed, refilled by its own sends.
     pool: FramePool,
     silent: bool,
@@ -277,6 +297,7 @@ impl InMemFabric {
                 rank,
                 txs: txs.clone(),
                 rx,
+                early: (0..n).map(|_| VecDeque::new()).collect(),
                 pool: FramePool::default(),
                 silent: false,
             })
@@ -297,7 +318,14 @@ impl Fabric for InMemFabric {
         "inmem"
     }
 
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
+    /// Never waits: the inbox is unbounded, so `_timeout` cannot expire.
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        _timeout: Duration,
+    ) -> Result<(), CommError> {
         debug_assert_ne!(to, self.rank, "self-sends never reach the fabric");
         let mut frame = self.pool.take();
         frame.extend_from_slice(bytes);
@@ -310,11 +338,32 @@ impl Fabric for InMemFabric {
             .map_err(|_| CommError::Disconnected { peer: to })
     }
 
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvAnyError::Timeout,
-            RecvTimeoutError::Disconnected => RecvAnyError::Closed,
-        })
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let msg = match self.early[from].pop_front() {
+                Some(msg) => msg,
+                None => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    self.rx.recv_timeout(left).map_err(|e| match e {
+                        RecvTimeoutError::Timeout => CommError::Timeout {
+                            peer: from,
+                            deadline: timeout,
+                        },
+                        RecvTimeoutError::Disconnected => CommError::Disconnected { peer: from },
+                    })?
+                }
+            };
+            if msg.from != from {
+                self.early[msg.from].push_back(msg);
+            } else if msg.tag.is_ctrl() {
+                // Kept at the head: every later receive sees it too.
+                self.early[from].push_front(msg);
+                return Err(CommError::Disconnected { peer: from });
+            } else {
+                return Ok(msg);
+            }
+        }
     }
 
     fn recycle(&mut self, frame: Vec<u8>) {
@@ -354,14 +403,17 @@ impl Drop for InMemFabric {
 const TCP_HEADER_LEN: usize = 1 + 1 + 4 + 4;
 
 /// Largest payload one TCP frame may carry. The length field is four
-/// bytes a peer controls, so the reader refuses anything above this
+/// bytes a peer controls, so a receive refuses anything above this
 /// before sizing a buffer for it; 1 GiB is far beyond any in-tree message
 /// (collectives chunk long buffers) yet bounds what a bad header costs.
 const MAX_FRAME_BYTES: usize = 1 << 30;
 
-/// A rank's returned frames, shared with the reader threads that refill
-/// them.
-type SharedPool = Arc<ff_util::sync::Mutex<FramePool>>;
+/// How long one blocking read or write on a TCP stream may wait before
+/// the fabric reads ahead on its other inbound streams and tries again
+/// (`SO_RCVTIMEO` and `SO_SNDTIMEO` of every stream). It bounds how long a
+/// peer that fills this rank's socket buffers waits for them to drain; a
+/// frame that arrives wakes the waiting read at once.
+const TCP_STALL: Duration = Duration::from_millis(1);
 
 fn encode_header(tag: Tag, len: usize) -> [u8; TCP_HEADER_LEN] {
     let mut h = [0u8; TCP_HEADER_LEN];
@@ -372,130 +424,160 @@ fn encode_header(tag: Tag, len: usize) -> [u8; TCP_HEADER_LEN] {
     h
 }
 
+/// A read or write that gave up after [`TCP_STALL`], or found nothing to
+/// do on a nonblocking stream.
+fn stalled(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// One peer's full-duplex stream and the inbound frame being reassembled
+/// off it.
+struct TcpPeer {
+    stream: TcpStream,
+    /// Header bytes of the next inbound frame read so far.
+    header: [u8; TCP_HEADER_LEN],
+    header_len: usize,
+    /// Payload bytes read so far, once the header is whole.
+    payload: Option<Vec<u8>>,
+    /// Whole frames read ahead of a receive naming this peer.
+    ready: VecDeque<RawMsg>,
+    /// The stream is over (EOF, a read error, a header no frame can
+    /// follow): once `ready` drains, every receive is a hangup.
+    hung: bool,
+    /// A send failed or timed out: nothing more goes out.
+    send_closed: bool,
+}
+
+impl TcpPeer {
+    fn new(stream: TcpStream) -> std::io::Result<TcpPeer> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(TCP_STALL))?;
+        stream.set_write_timeout(Some(TCP_STALL))?;
+        Ok(TcpPeer {
+            stream,
+            header: [0; TCP_HEADER_LEN],
+            header_len: 0,
+            payload: None,
+            ready: VecDeque::new(),
+            hung: false,
+            send_closed: false,
+        })
+    }
+
+    /// Read on until one more frame from `from` is whole and queued on
+    /// `ready` (`Ok(true)`) or the stream is over (`Ok(false)`); `Err` is
+    /// a read that stalled, with whatever it read kept for the next call.
+    fn read_frame(&mut self, from: usize, pool: &mut FramePool) -> std::io::Result<bool> {
+        if self.hung {
+            return Ok(false);
+        }
+        match self.try_read_frame(from, pool) {
+            Err(e) if stalled(&e) => Err(e),
+            Ok(true) => Ok(true),
+            Ok(false) | Err(_) => {
+                self.hung = true;
+                self.payload = None;
+                Ok(false)
+            }
+        }
+    }
+
+    fn try_read_frame(&mut self, from: usize, pool: &mut FramePool) -> std::io::Result<bool> {
+        while self.header_len < TCP_HEADER_LEN {
+            match self.stream.read(&mut self.header[self.header_len..]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => self.header_len += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let [phase, tree, c0, c1, c2, c3, l0, l1, l2, l3] = self.header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        if len > MAX_FRAME_BYTES {
+            // Nothing after a bad header can be framed: close the stream
+            // so the peer's writes fail too.
+            let _ = self.stream.shutdown(Shutdown::Both);
+            return Ok(false);
+        }
+        // Appending through `take` fills spare capacity as it is: a reused
+        // buffer is neither reallocated nor zeroed first. A stalled read
+        // keeps what it appended.
+        let bytes = self.payload.get_or_insert_with(|| {
+            let mut bytes = pool.take();
+            bytes.reserve_exact(len);
+            bytes
+        });
+        let want = len - bytes.len();
+        if (&self.stream).take(want as u64).read_to_end(bytes)? < want {
+            return Ok(false); // the peer died mid-frame
+        }
+        self.header_len = 0;
+        self.ready.push_back(RawMsg {
+            from,
+            tag: Tag::new(phase, tree, u32::from_le_bytes([c0, c1, c2, c3])),
+            bytes: self.payload.take().unwrap_or_default(),
+        });
+        Ok(true)
+    }
+}
+
 /// The real-network backend: a full-duplex localhost TCP stream per rank
-/// pair, length-prefixed frames, one demux reader thread per inbound
-/// stream feeding the rank's inbox. Ranks run as OS threads in one
-/// process; the bytes cross the kernel loopback path for real.
+/// pair and length-prefixed frames. Ranks run as OS threads in one
+/// process; the bytes cross the kernel loopback path for real, and each
+/// rank reads its own streams.
 pub struct TcpFabric {
     rank: usize,
-    world: usize,
-    writers: Vec<Option<TcpStream>>,
-    rx: Receiver<RawMsg>,
-    pool: SharedPool,
+    /// One entry per rank, `None` at this rank's own index.
+    peers: Vec<Option<TcpPeer>>,
+    /// Frames this rank consumed, refilled by its next reads.
+    pool: FramePool,
 }
 
 impl TcpFabric {
     /// A fully-connected world of `n` endpoints over ephemeral localhost
-    /// ports. Connection setup is sequential and deterministic; reader
-    /// threads exit on peer EOF, so no explicit shutdown choreography is
-    /// needed beyond dropping the fabrics.
+    /// ports. Connection setup is sequential and deterministic; dropping
+    /// the fabrics closes the streams, which is the whole teardown.
     pub fn mesh(n: usize) -> std::io::Result<Vec<TcpFabric>> {
         let listeners: Vec<TcpListener> = (0..n)
             .map(|_| TcpListener::bind("127.0.0.1:0"))
             .collect::<std::io::Result<_>>()?;
-        let addrs: Vec<std::net::SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr())
-            .collect::<std::io::Result<_>>()?;
-        let (txs, rxs): (Vec<Sender<RawMsg>>, Vec<Receiver<RawMsg>>) =
-            (0..n).map(|_| unbounded()).unzip();
-        let pools: Vec<SharedPool> = (0..n).map(|_| SharedPool::default()).collect();
-        let mut writers: Vec<Vec<Option<TcpStream>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        let mut fabrics: Vec<TcpFabric> = (0..n)
+            .map(|rank| TcpFabric {
+                rank,
+                peers: (0..n).map(|_| None).collect(),
+                pool: FramePool::default(),
+            })
+            .collect();
         for i in 0..n {
             for j in (i + 1)..n {
                 // connect() completes via the listen backlog, so the
                 // matching accept() can follow sequentially.
-                let a = TcpStream::connect(addrs[j])?;
+                let a = TcpStream::connect(listeners[j].local_addr()?)?;
                 let (b, _) = listeners[j].accept()?;
-                a.set_nodelay(true)?;
-                b.set_nodelay(true)?;
-                spawn_reader(a.try_clone()?, j, txs[i].clone(), pools[i].clone());
-                spawn_reader(b.try_clone()?, i, txs[j].clone(), pools[j].clone());
-                writers[i][j] = Some(a);
-                writers[j][i] = Some(b);
+                fabrics[i].peers[j] = Some(TcpPeer::new(a)?);
+                fabrics[j].peers[i] = Some(TcpPeer::new(b)?);
             }
         }
-        drop(txs); // inboxes close once every reader thread exits
-        Ok(writers
-            .into_iter()
-            .zip(rxs.into_iter().zip(pools))
-            .enumerate()
-            .map(|(rank, (w, (rx, pool)))| TcpFabric {
-                rank,
-                world: n,
-                writers: w,
-                rx,
-                pool,
-            })
-            .collect())
+        Ok(fabrics)
     }
-}
 
-/// Demux thread: read frames from one peer's stream into the inbox until
-/// EOF, error or an oversized frame, then deliver the hangup frame. Each
-/// payload lands in a buffer from `pool` when one is waiting there.
-fn spawn_reader(mut stream: TcpStream, from: usize, tx: Sender<RawMsg>, pool: SharedPool) {
-    std::thread::spawn(move || {
-        loop {
-            let mut header = [0u8; TCP_HEADER_LEN];
-            if stream.read_exact(&mut header).is_err() {
-                break;
+    /// Read every inbound stream, without blocking, into its peer's queue:
+    /// what a rank does whenever one of its own reads or writes stalls,
+    /// so that a peer blocked on this rank's full socket buffer moves on.
+    fn read_ahead(&mut self) {
+        for (from, peer) in self.peers.iter_mut().enumerate() {
+            let Some(peer) = peer.as_mut().filter(|p| !p.hung) else {
+                continue;
+            };
+            if peer.stream.set_nonblocking(true).is_ok() {
+                while let Ok(true) = peer.read_frame(from, &mut self.pool) {}
+                let _ = peer.stream.set_nonblocking(false);
             }
-            let [phase, tree, c0, c1, c2, c3, l0, l1, l2, l3] = header;
-            let tag = Tag::new(phase, tree, u32::from_le_bytes([c0, c1, c2, c3]));
-            let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-            if len > MAX_FRAME_BYTES {
-                // Nothing after a bad header can be framed: close the
-                // stream so the peer's writes fail too.
-                let _ = stream.shutdown(Shutdown::Both);
-                break;
-            }
-            // Appending through `take` fills spare capacity as it is: a
-            // reused buffer is neither reallocated nor zeroed first.
-            let mut bytes = pool.lock().take();
-            bytes.reserve_exact(len);
-            let payload = (&stream).take(len as u64).read_to_end(&mut bytes);
-            if !matches!(payload, Ok(n) if n == len) {
-                break;
-            }
-            if tx.send(RawMsg { from, tag, bytes }).is_err() {
-                return; // local fabric gone; no hangup needed
-            }
-        }
-        // Peer closed (or died mid-frame): reconnect-free teardown — the
-        // hangup frame is what survivors see as `Disconnected`.
-        let _ = tx.send(RawMsg {
-            from,
-            tag: Tag::ctrl(),
-            bytes: Vec::new(),
-        });
-    });
-}
-
-/// Header and payload as one vectored write, so a frame that fits the
-/// socket buffer is one syscall and — with `TCP_NODELAY` — one segment
-/// train instead of a lone 10-byte header followed by its payload.
-fn write_frame(
-    stream: &mut TcpStream,
-    header: &[u8; TCP_HEADER_LEN],
-    payload: &[u8],
-) -> std::io::Result<()> {
-    let mut sent = 0;
-    while sent < TCP_HEADER_LEN + payload.len() {
-        let wrote = if sent < TCP_HEADER_LEN {
-            stream.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
-        } else {
-            stream.write(&payload[sent - TCP_HEADER_LEN..])
-        };
-        match wrote {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    Ok(())
 }
 
 impl Fabric for TcpFabric {
@@ -504,56 +586,94 @@ impl Fabric for TcpFabric {
     }
 
     fn world_size(&self) -> usize {
-        self.world
+        self.peers.len()
     }
 
     fn backend(&self) -> &'static str {
         "tcp"
     }
 
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
+    /// Header and payload as one vectored write, so a frame that fits the
+    /// socket buffer is one syscall and — with `TCP_NODELAY` — one segment
+    /// train instead of a lone 10-byte header followed by its payload.
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        timeout: Duration,
+    ) -> Result<(), CommError> {
         debug_assert_ne!(to, self.rank, "self-sends never reach the fabric");
-        let stream = self.writers[to]
-            .as_mut()
-            .ok_or(CommError::Disconnected { peer: to })?;
         assert!(
             bytes.len() <= MAX_FRAME_BYTES,
             "frame of {} bytes exceeds MAX_FRAME_BYTES; chunk the collective",
             bytes.len()
         );
         let header = encode_header(tag, bytes.len());
-        if write_frame(stream, &header, bytes).is_err() {
-            self.writers[to] = None;
-            return Err(CommError::Disconnected { peer: to });
+        let (mut sent, mut moved) = (0, Instant::now());
+        while sent < TCP_HEADER_LEN + bytes.len() {
+            let Some(peer) = self.peers[to].as_mut().filter(|p| !p.send_closed) else {
+                return Err(CommError::Disconnected { peer: to });
+            };
+            let wrote = if sent < TCP_HEADER_LEN {
+                let bufs = [IoSlice::new(&header[sent..]), IoSlice::new(bytes)];
+                peer.stream.write_vectored(&bufs)
+            } else {
+                peer.stream.write(&bytes[sent - TCP_HEADER_LEN..])
+            };
+            match wrote {
+                Ok(n) if n > 0 => (sent, moved) = (sent + n, Instant::now()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if stalled(&e) && moved.elapsed() < timeout => self.read_ahead(),
+                Err(e) if stalled(&e) => {
+                    // The peer sees the stream end mid-frame: a hangup.
+                    let _ = peer.stream.shutdown(Shutdown::Both);
+                    peer.send_closed = true;
+                    return Err(CommError::Timeout {
+                        peer: to,
+                        deadline: timeout,
+                    });
+                }
+                _ => {
+                    peer.send_closed = true;
+                    return Err(CommError::Disconnected { peer: to });
+                }
+            }
         }
         Ok(())
     }
 
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvAnyError::Timeout,
-            RecvTimeoutError::Disconnected => RecvAnyError::Closed,
-        })
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
+        debug_assert_ne!(from, self.rank, "self-receives never reach the fabric");
+        let start = Instant::now();
+        loop {
+            let Some(peer) = self.peers[from].as_mut() else {
+                return Err(CommError::Disconnected { peer: from });
+            };
+            if let Some(msg) = peer.ready.pop_front() {
+                return Ok(msg);
+            }
+            match peer.read_frame(from, &mut self.pool) {
+                Ok(true) => {}
+                Ok(false) => return Err(CommError::Disconnected { peer: from }),
+                Err(_) if start.elapsed() >= timeout => {
+                    return Err(CommError::Timeout {
+                        peer: from,
+                        deadline: timeout,
+                    })
+                }
+                Err(_) => self.read_ahead(),
+            }
+        }
     }
 
     fn recycle(&mut self, frame: Vec<u8>) {
-        self.pool.lock().put(frame);
+        self.pool.put(frame);
     }
-    // TCP teardown is inherently visible (FIN → reader EOF → hangup), so
-    // `set_silent_teardown` keeps its no-op default: injected deaths over
-    // TCP are detected fast rather than by timeout. Documented on
-    // `FaultyFabric`.
-}
-
-impl Drop for TcpFabric {
-    fn drop(&mut self) {
-        // Reader threads hold fd clones, so dropping the writers alone
-        // would not close the sockets; shutdown() terminates the socket
-        // itself and unblocks every clone.
-        for w in self.writers.iter().flatten() {
-            let _ = w.shutdown(Shutdown::Both);
-        }
-    }
+    // TCP teardown is inherently visible (FIN → EOF on the peer's read →
+    // hangup), so `set_silent_teardown` keeps its no-op default: injected
+    // deaths over TCP are detected fast rather than by timeout.
+    // Documented on `FaultyFabric`.
 }
 
 // ---------------------------------------------------------------------------
@@ -614,7 +734,13 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
         self.inner.backend()
     }
 
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        timeout: Duration,
+    ) -> Result<(), CommError> {
         if self.died || self.sends >= self.die_after_sends {
             // The injected Xid fires here: this rank's endpoint goes
             // silent. Reported as a self-disconnect so the rank's own
@@ -630,11 +756,11 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
             });
         }
         self.sends += 1;
-        self.inner.send(to, tag, bytes)
+        self.inner.send(to, tag, bytes, timeout)
     }
 
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError> {
-        self.inner.recv_any(timeout)
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
+        self.inner.recv(from, timeout)
     }
 
     fn recycle(&mut self, frame: Vec<u8>) {
@@ -718,9 +844,15 @@ impl<F: Fabric> Fabric for CalibratedFabric<F> {
         self.inner.backend()
     }
 
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
-        let t0 = std::time::Instant::now();
-        let res = self.inner.send(to, tag, bytes);
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        timeout: Duration,
+    ) -> Result<(), CommError> {
+        let t0 = Instant::now();
+        let res = self.inner.send(to, tag, bytes, timeout);
         let dt = t0.elapsed().as_nanos() as u64;
         let mut s = self.sink.lock();
         s.sends += 1;
@@ -729,12 +861,10 @@ impl<F: Fabric> Fabric for CalibratedFabric<F> {
         res
     }
 
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError> {
-        let res = self.inner.recv_any(timeout);
-        if let Ok(m) = &res {
-            if !m.tag.is_ctrl() {
-                self.sink.lock().recvs += 1;
-            }
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
+        let res = self.inner.recv(from, timeout);
+        if res.is_ok() {
+            self.sink.lock().recvs += 1;
         }
         res
     }
@@ -800,6 +930,8 @@ impl FabricProvider for TcpProvider {
 mod tests {
     use super::*;
 
+    const WAIT: Duration = Duration::from_secs(5);
+
     fn roundtrip<F: Fabric + 'static>(mut world: Vec<F>) {
         let mut f1 = world.pop().expect("two endpoints");
         let mut f0 = world.pop().expect("two endpoints");
@@ -809,20 +941,20 @@ mod tests {
             chunk: 7,
         };
         let h = std::thread::spawn(move || {
-            f1.send(0, tag, b"pong").expect("send");
+            f1.send(0, tag, b"pong", WAIT).expect("send");
             f1
         });
-        f0.send(1, tag, b"ping").expect("send");
-        let got = f0.recv_any(Duration::from_secs(5)).expect("recv");
+        f0.send(1, tag, b"ping", WAIT).expect("send");
+        let got = f0.recv(1, WAIT).expect("recv");
         assert_eq!(got.from, 1);
         assert_eq!(got.tag, tag);
         assert_eq!(got.bytes, b"pong");
         let f1 = h.join().expect("peer thread");
         drop(f1);
-        // Teardown surfaces as a hangup frame, not a hang.
-        let bye = f0.recv_any(Duration::from_secs(5)).expect("hangup");
-        assert!(bye.tag.is_ctrl());
-        assert_eq!(bye.from, 1);
+        // Teardown surfaces as a hangup, not a hang — and stays one.
+        let hangup = Err(CommError::Disconnected { peer: 1 });
+        assert_eq!(f0.recv(1, WAIT), hangup);
+        assert_eq!(f0.recv(1, WAIT), hangup);
     }
 
     #[test]
@@ -846,31 +978,112 @@ mod tests {
                 tree: 0,
                 chunk,
             };
-            f0.send(1, tag, &chunk.to_le_bytes()).expect("send");
+            f0.send(1, tag, &chunk.to_le_bytes(), WAIT).expect("send");
         }
         for chunk in 0..32u32 {
-            let m = f1.recv_any(Duration::from_secs(5)).expect("recv");
+            let m = f1.recv(0, WAIT).expect("recv");
             assert_eq!(m.tag.chunk, chunk, "per-pair FIFO order");
             assert_eq!(m.bytes, chunk.to_le_bytes());
         }
     }
 
     #[test]
+    fn inmem_recv_files_other_senders_frames_in_order() {
+        let mut world = InMemFabric::mesh(3);
+        let mut f2 = world.pop().expect("three");
+        let mut f1 = world.pop().expect("three");
+        let mut f0 = world.pop().expect("three");
+        let tag = |chunk| Tag::new(PHASE_A2A, 0, chunk);
+        f2.send(0, tag(0), b"a", WAIT).expect("send");
+        f2.send(0, tag(1), b"b", WAIT).expect("send");
+        drop(f2);
+        f1.send(0, tag(2), b"c", WAIT).expect("send");
+        assert_eq!(f0.recv(1, WAIT).expect("recv").bytes, b"c");
+        assert_eq!(f0.recv(2, WAIT).expect("recv").bytes, b"a");
+        assert_eq!(f0.recv(2, WAIT).expect("recv").bytes, b"b");
+        assert_eq!(f0.recv(2, WAIT), Err(CommError::Disconnected { peer: 2 }));
+    }
+
+    fn pattern(len: usize, seed: usize) -> Vec<u8> {
+        (0..len).map(|i| ((i * 31 + seed * 7) >> 3) as u8).collect()
+    }
+
+    #[test]
     fn tcp_frame_larger_than_the_socket_buffers_arrives_whole() {
         // 8 MiB cannot leave in one write: the vectored write's
-        // continuation after a partial header-plus-payload write runs.
+        // continuation after a partial header-plus-payload write runs,
+        // while the receiver reads on a thread of its own.
         let mut world = TcpFabric::mesh(2).expect("sockets");
         let mut f1 = world.pop().expect("two");
         let mut f0 = world.pop().expect("two");
-        let big: Vec<u8> = (0..8usize << 20).map(|i| ((i * 31) >> 3) as u8).collect();
+        let big = pattern(8 << 20, 0);
         let tag = Tag::new(PHASE_RING, 1, 3);
-        f0.send(1, tag, &big).expect("send");
-        f0.send(1, tag, b"next").expect("send");
-        let got = f1.recv_any(Duration::from_secs(5)).expect("recv");
+        let receiver = std::thread::spawn(move || {
+            let long = f1.recv(0, WAIT).expect("recv");
+            let next = f1.recv(0, WAIT).expect("recv");
+            (long, next)
+        });
+        f0.send(1, tag, &big, WAIT).expect("send");
+        f0.send(1, tag, b"next", WAIT).expect("send");
+        let (got, next) = receiver.join().expect("receiver");
         assert_eq!(got.tag, tag);
         assert!(got.bytes == big, "payload differs");
-        let got = f1.recv_any(Duration::from_secs(5)).expect("recv");
-        assert_eq!(got.bytes, b"next", "framing intact after the long frame");
+        assert_eq!(next.bytes, b"next", "framing intact after the long frame");
+    }
+
+    #[test]
+    fn large_sends_in_a_cycle_complete() {
+        // Every rank sends 8 MiB to every other rank before it receives
+        // anything: no write can finish unless stalled writers read ahead.
+        for n in 2..=4 {
+            let world = TcpFabric::mesh(n).expect("sockets");
+            let len = 8 << 20;
+            std::thread::scope(|s| {
+                for mut fab in world {
+                    s.spawn(move || {
+                        let me = fab.rank();
+                        for k in 1..n {
+                            let to = (me + k) % n;
+                            let tag = Tag::new(PHASE_A2A, 0, to as u32);
+                            fab.send(to, tag, &pattern(len, me * n + to), WAIT)
+                                .expect("send");
+                        }
+                        for from in (0..n).filter(|&r| r != me) {
+                            let got = fab.recv(from, WAIT).expect("recv");
+                            assert_eq!(got.tag, Tag::new(PHASE_A2A, 0, me as u32));
+                            assert!(got.bytes == pattern(len, from * n + me), "{from}→{me}");
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn a_waiting_receive_reads_ahead_so_a_blocked_sender_moves_on() {
+        // Rank 0 sends 8 MiB to rank 1 and then a word to rank 2; rank 2
+        // passes that word on to rank 1, which first waits on rank 2. In
+        // memory every send returns at once. Over TCP rank 0's long write
+        // completes only if rank 1 reads rank 0's stream while it waits on
+        // rank 2.
+        let mut world = TcpFabric::mesh(3).expect("sockets");
+        let mut f2 = world.pop().expect("three");
+        let mut f1 = world.pop().expect("three");
+        let mut f0 = world.pop().expect("three");
+        let big = pattern(8 << 20, 1);
+        let tag = Tag::new(PHASE_A2A, 0, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                f0.send(1, tag, &big, WAIT).expect("send");
+                f0.send(2, tag, b"go", WAIT).expect("send");
+            });
+            s.spawn(|| {
+                let go = f2.recv(0, WAIT).expect("recv");
+                f2.send(1, tag, &go.bytes, WAIT).expect("send");
+            });
+            assert_eq!(f1.recv(2, WAIT).expect("recv").bytes, b"go");
+            assert!(f1.recv(0, WAIT).expect("recv").bytes == big);
+        });
     }
 
     #[test]
@@ -898,46 +1111,48 @@ mod tests {
     }
 
     #[test]
-    fn tcp_reader_refills_a_returned_frame() {
+    fn tcp_recv_refills_a_returned_frame() {
         let mut world = TcpFabric::mesh(2).expect("sockets");
         let mut f1 = world.pop().expect("two");
         let mut f0 = world.pop().expect("two");
         let tag = Tag::new(PHASE_UP, 0, 0);
-        f1.send(0, tag, &[7u8; 1000]).expect("send");
-        let first = f0.recv_any(Duration::from_secs(5)).expect("recv");
+        f1.send(0, tag, &[7u8; 1000], WAIT).expect("send");
+        let first = f0.recv(1, WAIT).expect("recv");
         assert_eq!(first.bytes, [7u8; 1000]);
         let addr = first.bytes.as_ptr();
-        // Back before the next frame is on the wire, so the reader finds it.
+        // Back before the next frame is read, so the read finds it.
         f0.recycle(first.bytes);
-        f1.send(0, tag, &[9u8; 600]).expect("send");
-        let second = f0.recv_any(Duration::from_secs(5)).expect("recv");
+        f1.send(0, tag, &[9u8; 600], WAIT).expect("send");
+        let second = f0.recv(1, WAIT).expect("recv");
         assert_eq!(second.bytes, [9u8; 600]);
         assert_eq!(second.bytes.as_ptr(), addr, "same buffer, no allocation");
     }
 
-    #[test]
-    fn oversized_tcp_header_is_a_hangup_not_an_allocation() {
-        // A raw socket stands in for a misbehaving rank 1: it declares a
-        // 4 GiB payload and then keeps the connection open. Rank 0's
-        // reader must give up on the header alone — waiting for (or
-        // allocating) the payload would never deliver the hangup.
+    /// Rank 0 of a two-rank TCP world whose rank 1 is a raw socket this
+    /// thread drives: a peer that sends (or reads) only what it is told.
+    fn tcp_rank0_with_raw_peer() -> (TcpFabric, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut raw = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let raw = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (accepted, _) = listener.accept().expect("accept");
-        let (tx, rx) = unbounded();
-        let pool = SharedPool::default();
-        spawn_reader(accepted.try_clone().expect("clone"), 1, tx, pool.clone());
         let fab = TcpFabric {
             rank: 0,
-            world: 2,
-            writers: vec![None, Some(accepted)],
-            rx,
-            pool,
+            peers: vec![None, Some(TcpPeer::new(accepted).expect("stream options"))],
+            pool: FramePool::default(),
         };
+        (fab, raw)
+    }
+
+    #[test]
+    fn oversized_tcp_header_is_a_hangup_not_an_allocation() {
+        // The raw peer declares a 4 GiB payload and then keeps the
+        // connection open. Rank 0's read must give up on the header alone
+        // — waiting for (or allocating) the payload would never deliver
+        // the hangup.
+        let (fab, mut raw) = tcp_rank0_with_raw_peer();
         let mut header = [0u8; TCP_HEADER_LEN]; // phase 0 = PHASE_UP, tree 0, chunk 0
         header[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         raw.write_all(&header).expect("write header");
-        let mut comm = crate::comm::Communicator::with_timeout(fab, Duration::from_secs(5));
+        let mut comm = crate::comm::Communicator::with_timeout(fab, WAIT);
         assert_eq!(
             // Rank 1 is the broadcast root of a two-rank world: rank 0 waits on it.
             comm.broadcast(&mut [0.0f32], 1),
@@ -946,6 +1161,45 @@ mod tests {
         // And the teardown reached the peer: its stream is closed.
         let mut byte = [0u8; 1];
         assert_eq!(raw.read(&mut byte).expect("EOF, not an error"), 0);
+    }
+
+    #[test]
+    fn a_send_that_cannot_progress_times_out_within_its_deadline() {
+        // The raw peer never reads: 64 MiB fills both socket buffers long
+        // before it is out.
+        let (mut fab, mut raw) = tcp_rank0_with_raw_peer();
+        let deadline = Duration::from_millis(200);
+        let t0 = Instant::now();
+        let res = fab.send(1, Tag::new(PHASE_A2A, 0, 0), &vec![5u8; 64 << 20], deadline);
+        let took = t0.elapsed();
+        assert_eq!(res, Err(CommError::Timeout { peer: 1, deadline }));
+        assert!(took < Duration::from_secs(2), "took {took:?}");
+        // The stream is shut: the peer reads what arrived, then EOF — a
+        // frame cut short, which a fabric reports as a hangup.
+        let mut got = Vec::new();
+        raw.read_to_end(&mut got).expect("EOF, not an error");
+        assert!(got.len() < TCP_HEADER_LEN + (64 << 20), "{}", got.len());
+        assert_eq!(
+            fab.send(1, Tag::new(PHASE_A2A, 0, 1), b"x", deadline),
+            Err(CommError::Disconnected { peer: 1 })
+        );
+    }
+
+    #[test]
+    fn a_timed_out_send_reaches_the_peer_as_a_hangup_not_a_torn_frame() {
+        let mut world = TcpFabric::mesh(2).expect("sockets");
+        let mut f1 = world.pop().expect("two");
+        let mut f0 = world.pop().expect("two");
+        let deadline = Duration::from_millis(100);
+        let tag = Tag::new(PHASE_A2A, 0, 0);
+        f0.send(1, tag, b"whole", deadline).expect("send");
+        // Rank 1 reads nothing until the long send has given up.
+        assert_eq!(
+            f0.send(1, tag, &vec![1u8; 64 << 20], deadline),
+            Err(CommError::Timeout { peer: 1, deadline })
+        );
+        assert_eq!(f1.recv(0, WAIT).expect("recv").bytes, b"whole");
+        assert_eq!(f1.recv(0, WAIT), Err(CommError::Disconnected { peer: 0 }));
     }
 
     #[test]
@@ -958,17 +1212,17 @@ mod tests {
             tree: 0,
             chunk: 0,
         };
-        assert!(faulty.send(0, tag, b"a").is_ok());
-        assert!(faulty.send(0, tag, b"b").is_ok());
+        assert!(faulty.send(0, tag, b"a", WAIT).is_ok());
+        assert!(faulty.send(0, tag, b"b", WAIT).is_ok());
         assert!(!faulty.died());
         assert_eq!(
-            faulty.send(0, tag, b"c"),
+            faulty.send(0, tag, b"c", WAIT),
             Err(CommError::Disconnected { peer: 1 })
         );
         assert!(faulty.died());
         // Dead stays dead.
         assert_eq!(
-            faulty.send(0, tag, b"d"),
+            faulty.send(0, tag, b"d", WAIT),
             Err(CommError::Disconnected { peer: 1 })
         );
     }
@@ -984,11 +1238,12 @@ mod tests {
             tree: 0,
             chunk: 0,
         };
-        assert!(faulty.send(0, tag, b"x").is_err());
+        assert!(faulty.send(0, tag, b"x", WAIT).is_err());
         drop(faulty); // silent: no ctrl frame may arrive
+        let deadline = Duration::from_millis(50);
         assert_eq!(
-            f0.recv_any(Duration::from_millis(50)),
-            Err(RecvAnyError::Timeout)
+            f0.recv(1, deadline),
+            Err(CommError::Timeout { peer: 1, deadline })
         );
     }
 
@@ -1003,8 +1258,8 @@ mod tests {
             tree: 0,
             chunk: 0,
         };
-        f0.send(1, tag, &[0u8; 100]).expect("send");
-        f0.send(1, tag, &[0u8; 28]).expect("send");
+        f0.send(1, tag, &[0u8; 100], WAIT).expect("send");
+        f0.send(1, tag, &[0u8; 28], WAIT).expect("send");
         drop(f1);
         let s = *sink.lock();
         assert_eq!(s.sends, 2);

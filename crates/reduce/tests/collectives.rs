@@ -3,7 +3,9 @@
 //! allreduce, as well as general reduce and broadcast operations").
 
 use ff_reduce::kernels::reference_sum;
-use ff_reduce::{run_broadcast, run_reduce_to_root, InMemProvider, TcpProvider};
+use ff_reduce::{
+    run_broadcast, run_reduce_to_root, run_world, FabricProvider, InMemProvider, TcpProvider,
+};
 
 fn int_inputs(n: usize, len: usize) -> Vec<Vec<f32>> {
     (0..n)
@@ -79,4 +81,26 @@ fn reduce_and_broadcast_transport_invariant() {
         run_broadcast(data.clone(), 5, 2, &InMemProvider),
         run_broadcast(data, 5, 2, &TcpProvider)
     );
+}
+
+#[test]
+fn all2all_rows_larger_than_the_socket_buffers_match_in_memory() {
+    // 4 ranks × 8 MiB rows: every rank sends all three before it receives
+    // one, so over TCP the sends complete only because a stalled writer
+    // reads ahead.
+    fn exchange<P: FabricProvider>(p: &P) -> Vec<Vec<Vec<u64>>> {
+        let row = |from: usize, to: usize| -> Vec<u64> {
+            let seed = (from * 4 + to) as u64;
+            (0..1u64 << 20)
+                .map(|i| i.wrapping_mul(0x9E37) ^ seed)
+                .collect()
+        };
+        run_world(p, None, vec![(); 4], |rank, (), comm| {
+            let sends = (0..4).map(|to| row(rank, to)).collect();
+            comm.all2all(sends, 0).expect("all2all")
+        })
+    }
+    let tcp = exchange(&TcpProvider);
+    assert!(tcp == exchange(&InMemProvider), "TCP and in-memory differ");
+    assert_eq!(tcp[3][1][5], 5u64.wrapping_mul(0x9E37) ^ 7);
 }

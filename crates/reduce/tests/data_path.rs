@@ -4,9 +4,7 @@
 //! allocations returned; nothing above the pool's bound retained).
 
 use ff_dtypes::{Bf16, Element, F8E4M3};
-use ff_reduce::fabric::{
-    cal_sink, CalSink, CommError, RecvAnyError, FRAME_POOL_MAX_BYTES, PHASE_A2A,
-};
+use ff_reduce::fabric::{cal_sink, CalSink, CommError, FRAME_POOL_MAX_BYTES, PHASE_A2A};
 use ff_reduce::kernels::{chunk_ranges, reference_sum};
 use ff_reduce::{
     run_world, Algo, CalibratedFabric, Communicator, Fabric, FabricProvider, InMemFabric,
@@ -128,8 +126,8 @@ impl Ledger {
 
 type SharedLedger = Arc<Mutex<Ledger>>;
 
-/// Fabric middleware that books every data frame out at `recv_any` and
-/// back in at `recycle`.
+/// Fabric middleware that books every data frame out at `recv` and back
+/// in at `recycle`.
 struct Audited<F: Fabric> {
     inner: F,
     ledger: SharedLedger,
@@ -145,19 +143,23 @@ impl<F: Fabric> Fabric for Audited<F> {
     fn backend(&self) -> &'static str {
         self.inner.backend()
     }
-    fn send(&mut self, to: usize, tag: Tag, bytes: &[u8]) -> Result<(), CommError> {
-        self.inner.send(to, tag, bytes)
+    fn send(
+        &mut self,
+        to: usize,
+        tag: Tag,
+        bytes: &[u8],
+        timeout: Duration,
+    ) -> Result<(), CommError> {
+        self.inner.send(to, tag, bytes, timeout)
     }
-    fn recv_any(&mut self, timeout: Duration) -> Result<RawMsg, RecvAnyError> {
-        let msg = self.inner.recv_any(timeout)?;
-        if !msg.tag.is_ctrl() {
-            let mut l = self.ledger.lock().expect("ledger");
-            *l.held
-                .entry((self.rank(), msg.bytes.as_ptr() as usize))
-                .or_default() += 1;
-            l.delivered += 1;
-            l.order.push((self.rank(), msg.from));
-        }
+    fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
+        let msg = self.inner.recv(from, timeout)?;
+        let mut l = self.ledger.lock().expect("ledger");
+        *l.held
+            .entry((self.rank(), msg.bytes.as_ptr() as usize))
+            .or_default() += 1;
+        l.delivered += 1;
+        l.order.push((self.rank(), msg.from));
         Ok(msg)
     }
     fn recycle(&mut self, frame: Vec<u8>) {
@@ -276,20 +278,28 @@ fn every_collective_hands_back_every_frame_over_tcp() {
 
 #[test]
 fn a_stashed_frame_is_handed_back_too() {
-    // Rank 0 asks for rank 1's all2all row first, but rank 2's is already
-    // at the head of its inbox: that frame waits in the stash. Ranks 1
-    // and 2 are raw endpoints driven from this thread, so the order is
-    // fixed.
+    // Rank 0 runs all2all 0 and then all2all 1, but rank 1 sent its row
+    // for all2all 1 first: rank 0 meets it while waiting for rank 1's
+    // row of all2all 0, and that frame waits in the stash. Ranks 1 and 2
+    // are raw endpoints driven from this thread, so the order is fixed.
     let ledger = SharedLedger::default();
     let mut world = InMemFabric::mesh(3);
     let mut r2 = world.pop().expect("three");
     let mut r1 = world.pop().expect("three");
     let inner = world.pop().expect("three");
-    let tag = Tag::new(PHASE_A2A, 0, 0);
-    for (peer, row) in [(&mut r2, vec![22u32, 23]), (&mut r1, vec![11u32])] {
+    let rows = [
+        (1, 1, vec![111u32]),
+        (1, 0, vec![11]),
+        (2, 0, vec![22, 23]),
+        (2, 1, vec![222]),
+    ];
+    for (from, seq, row) in rows {
         let mut bytes = Vec::new();
         row.wire_write(&mut bytes);
-        peer.send(0, tag, &bytes).expect("send");
+        let peer = if from == 1 { &mut r1 } else { &mut r2 };
+        let tag = Tag::new(PHASE_A2A, 0, seq);
+        peer.send(0, tag, &bytes, Duration::from_secs(5))
+            .expect("send");
     }
     let mut comm = Communicator::new(Audited {
         inner,
@@ -297,11 +307,20 @@ fn a_stashed_frame_is_handed_back_too() {
     });
     let got = comm.all2all(vec![vec![0u32], vec![1], vec![2]], 0);
     assert_eq!(
-        got.expect("all2all"),
+        got.expect("all2all 0"),
         vec![vec![0u32], vec![11], vec![22, 23]]
     );
+    let got = comm.all2all(vec![vec![0u32], vec![1], vec![2]], 1);
+    assert_eq!(
+        got.expect("all2all 1"),
+        vec![vec![0u32], vec![111], vec![222]]
+    );
     let l = ledger.lock().expect("ledger");
-    assert_eq!(l.order, vec![(0, 2), (0, 1)], "rank 2's frame came first");
+    assert_eq!(
+        l.order,
+        vec![(0, 1), (0, 1), (0, 2), (0, 2)],
+        "rank 1's row of all2all 1 came during all2all 0"
+    );
     l.assert_settled("all2all through the stash");
 }
 
@@ -331,15 +350,15 @@ fn a_returned_frame_is_refilled_unless_it_is_above_the_pool_bound() {
     let modest = Vec::with_capacity(4096);
     let addr = modest.as_ptr();
     f0.recycle(modest);
-    f0.send(1, tag, b"ping").expect("send");
-    let got = f1.recv_any(wait).expect("recv");
+    f0.send(1, tag, b"ping", wait).expect("send");
+    let got = f1.recv(0, wait).expect("recv");
     assert_eq!(got.bytes, b"ping");
     assert_eq!((got.bytes.as_ptr(), got.bytes.capacity()), (addr, 4096));
     // One above the byte bound is freed on the spot (reserved address
     // space only: its pages are never touched).
     f0.recycle(Vec::with_capacity(FRAME_POOL_MAX_BYTES + 1));
-    f0.send(1, tag, b"pong").expect("send");
-    let got = f1.recv_any(wait).expect("recv");
+    f0.send(1, tag, b"pong", wait).expect("send");
+    let got = f1.recv(0, wait).expect("recv");
     assert_eq!(got.bytes, b"pong");
     assert!(got.bytes.capacity() < 4096);
 }
