@@ -24,8 +24,7 @@
 use ff_failures::{GrayFault, GrayPlan};
 use ff_platform::{DetectorConfig, JobSpec, PlatformConfig, Verdict};
 use ff_reduce::{ClusterConfig, ClusterModel};
-
-use crate::fleet::fnv1a64;
+use ff_util::fnv1a64;
 
 /// The sweep: sensitivity × slowdown, `repeats` seeded runs per cell.
 #[derive(Debug, Clone)]

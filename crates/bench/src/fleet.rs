@@ -31,9 +31,9 @@ use ff_hw::NodeSpec;
 use ff_obs::Histogram;
 use ff_platform::{DetectorConfig, JobSpec, Platform, PlatformConfig, ServingSpec, TaskId};
 use ff_reduce::{jobflow, ClusterConfig, ClusterModel};
-use ff_util::par;
 use ff_util::rng::ChaCha8Rng;
 use ff_util::scengen::{ArrivalConfig, ArrivalTrace, SweepGrid};
+use ff_util::{fnv1a64, par};
 
 /// Axis name: failure-rate multiplier over the paper's measured rates.
 pub const AXIS_RATE: &str = "rate_scale";
@@ -463,16 +463,6 @@ pub fn sweep(cfg: &FleetConfig) -> FleetResult {
     let outcomes = par::map_weighted(items, cfg.workers.max(1), run_cell);
     let digest = digest(&outcomes);
     FleetResult { outcomes, digest }
-}
-
-/// FNV-1a 64 of arbitrary bytes (std-only stand-in for a real hash).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// The sweep digest: FNV-1a 64 over newline-terminated canonical lines.

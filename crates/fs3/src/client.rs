@@ -6,8 +6,8 @@ use crate::chain::{ChainError, ChainTable};
 use crate::meta::{FileAttr, MetaError, MetaService};
 use crate::target::ChunkId;
 use ff_util::bytes::Bytes;
-use ff_util::sync::{Condvar, Mutex, RwLock};
-use std::sync::Arc;
+use ff_util::sync::{Mutex, RwLock};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
 /// Client-visible errors.
@@ -75,11 +75,11 @@ impl Semaphore {
     }
 
     fn acquire(&self) {
-        let mut n = self.state.lock();
-        while *n == 0 {
-            self.cv.wait(&mut n);
-        }
-        *n -= 1;
+        let mut free = self
+            .cv
+            .wait_while(self.state.lock(), |n| *n == 0)
+            .unwrap_or_else(|e| e.into_inner());
+        *free -= 1;
     }
 
     fn release(&self) {

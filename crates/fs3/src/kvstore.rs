@@ -45,11 +45,7 @@ impl KvStore {
 
     fn shard_of(&self, key: &[u8]) -> &Shard {
         // FNV-1a over the key: stable and cheap.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = ff_util::fnv1a64(key);
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 

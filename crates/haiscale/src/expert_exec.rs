@@ -83,10 +83,9 @@ where
     }
     run_world(provider, None, sends, |me, row, comm| {
         if dead.contains(&me) {
-            // A crashed process tears its endpoint down loudly
-            // (hangup frame / TCP FIN) — `run_world` drops the
-            // communicator as this rank returns; its own "result" is
-            // its death.
+            // A crashed process tears its endpoint down: `run_world`
+            // drops the communicator as this rank returns, which every
+            // peer observes as a hangup; its own "result" is its death.
             return Err(CommError::Disconnected { peer: me });
         }
         comm.all2all(row, 0)

@@ -4,8 +4,9 @@
 //! transmit to one client NIC at once. The fix is receiver-side admission:
 //! a storage service asks the client's permission before transferring, and
 //! the client "limits the number of concurrent senders". This module is the
-//! admission queue both the 3FS client (`ff-3fs`) and the incast experiment
-//! use.
+//! admission queue of the incast experiment and of the 3FS throughput model
+//! (`ff_3fs::throughput`). The executable 3FS client (`ff_3fs::client`)
+//! caps its concurrent reads with a semaphore of its own.
 
 use std::collections::VecDeque;
 

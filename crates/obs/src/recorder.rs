@@ -304,10 +304,12 @@ impl Recorder {
         out
     }
 
-    /// FNV-1a digest of [`canonical`](Self::canonical) as 16 hex digits —
-    /// the seed-replay regression oracle.
+    /// FNV-1a digest of [`canonical`](Self::canonical), folded with its
+    /// length, as 16 hex digits — the seed-replay regression oracle.
     pub fn digest(&self) -> String {
-        format!("{:016x}", fnv1a(self.canonical().as_bytes()))
+        let canonical = self.canonical();
+        let h = ff_util::fnv1a64(canonical.as_bytes()) ^ canonical.len() as u64;
+        format!("{h:016x}")
     }
 }
 
@@ -316,16 +318,6 @@ fn kind_key(k: &EventKind) -> (u8, u64) {
         EventKind::Span { dur_ns } => (0, dur_ns),
         EventKind::Instant => (1, 0),
     }
-}
-
-/// FNV-1a over bytes, with a length fold.
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^ (data.len() as u64)
 }
 
 /// An unshared per-thread staging buffer with a logical clock.

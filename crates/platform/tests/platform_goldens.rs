@@ -68,12 +68,8 @@ fn books(p: &Platform, rec: &Recorder, tasks: &[TaskId]) -> String {
 /// FNV-1a with a length fold, as 16 hex digits — the shape of the
 /// recorder's own digest, over the whole [`books`] text.
 fn digest(text: &str) -> String {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    format!("{:016x}", h ^ text.len() as u64)
+    let h = ff_util::fnv1a64(text.as_bytes()) ^ text.len() as u64;
+    format!("{h:016x}")
 }
 
 fn declared_run() -> String {

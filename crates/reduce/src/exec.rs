@@ -285,9 +285,12 @@ pub struct FtReport<E> {
     pub outputs: Vec<Option<Vec<E>>>,
 }
 
-enum RankOutcome<E> {
+enum RankOutcome<E, C> {
     Done(Vec<E>, Option<TrackBuf>),
-    Died,
+    /// The dead rank's communicator, held until every rank of the attempt
+    /// has joined, so that its death is silence rather than a hangup and
+    /// survivors detect it by timeout on every backend.
+    Died(C),
     Errored(CommError),
 }
 
@@ -365,10 +368,7 @@ pub fn allreduce_ft<E: Element, P: FabricProvider>(
                     .find(|&&(r, _)| r == i)
                     .map(|&(_, k)| k)
                     .unwrap_or(usize::MAX);
-                // Silent deaths: a dead host stops talking, it does not
-                // hang up politely — survivors must detect the loss by
-                // timeout (in-memory) or transport teardown (TCP).
-                Communicator::with_timeout(FaultyFabric::new(fb, die, true), plan.recv_timeout)
+                Communicator::with_timeout(FaultyFabric::new(fb, die), plan.recv_timeout)
             })
             .collect();
         if let Some(o) = obs {
@@ -376,7 +376,7 @@ pub fn allreduce_ft<E: Element, P: FabricProvider>(
                 c.set_obs(o.rank_buf(orig));
             }
         }
-        let results: Vec<RankOutcome<E>> = std::thread::scope(|s| {
+        let results: Vec<RankOutcome<E, _>> = std::thread::scope(|s| {
             let handles: Vec<_> = alive
                 .iter()
                 .zip(comms)
@@ -388,14 +388,11 @@ pub fn allreduce_ft<E: Element, P: FabricProvider>(
                         // is never reused.
                         let mut data = inputs[orig].clone();
                         let res = comm.allreduce(&mut data, Op::Sum, Algo::DbTree { chunks });
-                        let died = comm.fabric().died();
                         let buf = comm.take_obs();
-                        // Death drops the endpoint: peers now observe
-                        // silence, exactly like a host that went down.
-                        drop(comm);
                         match res {
                             Ok(()) => RankOutcome::Done(data, buf),
-                            Err(_) if died => RankOutcome::Died,
+                            // Held, not dropped: a dead host goes silent.
+                            Err(_) if comm.fabric().died() => RankOutcome::Died(comm),
                             Err(e) => RankOutcome::Errored(e),
                         }
                     })
@@ -413,7 +410,7 @@ pub fn allreduce_ft<E: Element, P: FabricProvider>(
         for (&orig, outcome) in alive.iter().zip(results) {
             match outcome {
                 RankOutcome::Done(data, buf) => done.push((orig, data, buf)),
-                RankOutcome::Died => newly_dead.push(orig),
+                RankOutcome::Died(_) => newly_dead.push(orig),
                 RankOutcome::Errored(e) => last_error = Some(e),
             }
         }

@@ -8,9 +8,8 @@
 //! out-of-order stashing, element serialization, and the per-rank
 //! logical-clock observability discipline. Three backends ship:
 //!
-//! * [`InMemFabric`] — the default: `ff_util::channel` mpsc queues, one
-//!   inbox per rank; a frame that arrives ahead of the receive naming its
-//!   sender waits in that sender's queue.
+//! * [`InMemFabric`] — the default: one `std::sync::mpsc` queue per
+//!   ordered rank pair; a receive waits on the queue of the peer it names.
 //! * [`TcpFabric`] — ranks as OS threads exchanging length-prefixed
 //!   frames over real localhost TCP sockets (one full-duplex stream per
 //!   rank pair, `TCP_NODELAY`). A rank reads the stream of the peer it
@@ -43,21 +42,21 @@
 //! read has waited `TCP_STALL` (1 ms) reads ahead, without blocking, on
 //! every inbound stream into per-peer queues, then tries again.
 //!
-//! Both concrete backends share one liveness protocol: a fabric that is
-//! dropped (cleanly or because its rank died) delivers a *hangup* to every
-//! peer — an explicit control frame over in-memory channels, FIN/EOF over
-//! TCP — so survivors observe [`CommError::Disconnected`] rather than
-//! waiting out their receive timeout. [`Fabric::set_silent_teardown`]
-//! suppresses the explicit hangup for injected deaths, which must look
-//! like a host falling silent (liveness then comes from the timeout, as
-//! on real hardware). A send that moves no byte for its timeout is a
-//! [`CommError::Timeout`], and over TCP it shuts the stream, so the peer
-//! sees a hangup rather than a torn frame.
+//! Both concrete backends share one liveness rule, the one RDMA gives the
+//! real collectives: a *dropped* endpoint hangs up — its queue or stream
+//! ends, so once every frame it sent before is delivered each peer
+//! observes [`CommError::Disconnected`] — while a *held* endpoint that
+//! stops talking is silence, which peers detect only by their receive
+//! timeout. An injected death ([`FaultyFabric`]) is silent because the
+//! orchestrator holds the dead endpoint until the attempt is over, so one
+//! fault plan behaves the same on every backend. A send that moves no
+//! byte for its timeout is a [`CommError::Timeout`], and over TCP it
+//! shuts the stream, so the peer sees a hangup rather than a torn frame.
 
-use ff_util::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,8 +73,8 @@ pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(30);
 /// reports the same rank for the same failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommError {
-    /// The peer's endpoint is gone (hangup frame, closed socket, or
-    /// dropped channel).
+    /// The peer's endpoint is gone: dropped, its stream closed or its
+    /// queue ended.
     Disconnected {
         /// The peer rank that hung up.
         peer: usize,
@@ -143,11 +142,9 @@ pub const PHASE_DOWN: u8 = 1;
 pub const PHASE_RING: u8 = 2;
 /// Phase byte: all2all exchange.
 pub const PHASE_A2A: u8 = 3;
-/// Phase byte: hangup control frame (fabric-internal, never user data).
-pub const PHASE_CTRL: u8 = 0xFF;
 
 /// Message tag: which collective leg a payload belongs to. The sending
-/// rank is not part of the tag — the fabric attaches it.
+/// rank is not part of the tag: a receive names its peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tag {
     /// One of the `PHASE_*` constants.
@@ -163,31 +160,15 @@ impl Tag {
     pub const fn new(phase: u8, tree: u8, chunk: u32) -> Tag {
         Tag { phase, tree, chunk }
     }
-
-    /// The hangup control tag.
-    pub const fn ctrl() -> Tag {
-        Tag {
-            phase: PHASE_CTRL,
-            tree: 0,
-            chunk: 0,
-        }
-    }
-
-    /// True for fabric-internal control frames.
-    pub fn is_ctrl(&self) -> bool {
-        self.phase == PHASE_CTRL
-    }
 }
 
-/// One framed message as delivered by a fabric: who sent it, its tag, and
-/// its payload bytes.
+/// One framed message as delivered by a fabric: its tag and its payload
+/// bytes. The sender is the peer the receive named.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawMsg {
-    /// Sending rank.
-    pub from: usize,
     /// Message tag.
     pub tag: Tag,
-    /// Payload (empty for control frames).
+    /// Payload.
     pub bytes: Vec<u8>,
 }
 
@@ -221,10 +202,6 @@ pub trait Fabric: Send {
     /// frame that is never returned is merely freed, and a backend with
     /// no use for it frees it here.
     fn recycle(&mut self, _frame: Vec<u8>) {}
-    /// Suppress the explicit goodbye on drop: an injected death must look
-    /// like silence, not a polite hangup. Backends whose teardown is
-    /// inherently visible (TCP FIN) may ignore this.
-    fn set_silent_teardown(&mut self, _silent: bool) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -273,35 +250,39 @@ impl FramePool {
 // In-memory backend
 // ---------------------------------------------------------------------------
 
-/// The default backend: one mpsc inbox per rank over `ff_util::channel`,
-/// exactly the transport the collectives were originally wired to.
+/// The default backend: one `std::sync::mpsc` queue per ordered rank
+/// pair. A receive waits on the queue of the peer it names; a peer has
+/// hung up once its endpoint is dropped and its queue is drained.
 pub struct InMemFabric {
     rank: usize,
-    txs: Vec<Sender<RawMsg>>,
-    rx: Receiver<RawMsg>,
-    /// Per sender: frames (hangups included) taken from the inbox while
-    /// this rank waited on another peer.
-    early: Vec<VecDeque<RawMsg>>,
+    /// Per peer: the sending end of the queue into it, `None` at this
+    /// rank's own index.
+    txs: Vec<Option<Sender<RawMsg>>>,
+    /// Per peer: the receiving end of the queue out of it.
+    rxs: Vec<Option<Receiver<RawMsg>>>,
     /// Frames this rank consumed, refilled by its own sends.
     pool: FramePool,
-    silent: bool,
 }
 
 impl InMemFabric {
     /// A fully-connected world of `n` endpoints.
     pub fn mesh(n: usize) -> Vec<InMemFabric> {
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| InMemFabric {
+        let mut fabrics: Vec<InMemFabric> = (0..n)
+            .map(|rank| InMemFabric {
                 rank,
-                txs: txs.clone(),
-                rx,
-                early: (0..n).map(|_| VecDeque::new()).collect(),
+                txs: (0..n).map(|_| None).collect(),
+                rxs: (0..n).map(|_| None).collect(),
                 pool: FramePool::default(),
-                silent: false,
             })
-            .collect()
+            .collect();
+        for from in 0..n {
+            for to in (0..n).filter(|&to| to != from) {
+                let (tx, rx) = channel();
+                fabrics[from].txs[to] = Some(tx);
+                fabrics[to].rxs[from] = Some(rx);
+            }
+        }
+        fabrics
     }
 }
 
@@ -318,7 +299,7 @@ impl Fabric for InMemFabric {
         "inmem"
     }
 
-    /// Never waits: the inbox is unbounded, so `_timeout` cannot expire.
+    /// Never waits: the queue is unbounded, so `_timeout` cannot expire.
     fn send(
         &mut self,
         to: usize,
@@ -327,71 +308,29 @@ impl Fabric for InMemFabric {
         _timeout: Duration,
     ) -> Result<(), CommError> {
         debug_assert_ne!(to, self.rank, "self-sends never reach the fabric");
+        let hangup = CommError::Disconnected { peer: to };
+        let tx = self.txs[to].as_ref().ok_or(hangup)?;
         let mut frame = self.pool.take();
         frame.extend_from_slice(bytes);
-        self.txs[to]
-            .send(RawMsg {
-                from: self.rank,
-                tag,
-                bytes: frame,
-            })
-            .map_err(|_| CommError::Disconnected { peer: to })
+        tx.send(RawMsg { tag, bytes: frame }).map_err(|_| hangup)
     }
 
     fn recv(&mut self, from: usize, timeout: Duration) -> Result<RawMsg, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let msg = match self.early[from].pop_front() {
-                Some(msg) => msg,
-                None => {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    self.rx.recv_timeout(left).map_err(|e| match e {
-                        RecvTimeoutError::Timeout => CommError::Timeout {
-                            peer: from,
-                            deadline: timeout,
-                        },
-                        RecvTimeoutError::Disconnected => CommError::Disconnected { peer: from },
-                    })?
-                }
-            };
-            if msg.from != from {
-                self.early[msg.from].push_back(msg);
-            } else if msg.tag.is_ctrl() {
-                // Kept at the head: every later receive sees it too.
-                self.early[from].push_front(msg);
-                return Err(CommError::Disconnected { peer: from });
-            } else {
-                return Ok(msg);
-            }
-        }
+        debug_assert_ne!(from, self.rank, "self-receives never reach the fabric");
+        let rx = self.rxs[from]
+            .as_ref()
+            .ok_or(CommError::Disconnected { peer: from })?;
+        rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => CommError::Timeout {
+                peer: from,
+                deadline: timeout,
+            },
+            RecvTimeoutError::Disconnected => CommError::Disconnected { peer: from },
+        })
     }
 
     fn recycle(&mut self, frame: Vec<u8>) {
         self.pool.put(frame);
-    }
-
-    fn set_silent_teardown(&mut self, silent: bool) {
-        self.silent = silent;
-    }
-}
-
-impl Drop for InMemFabric {
-    fn drop(&mut self) {
-        if self.silent {
-            return;
-        }
-        // Goodbye to every peer: survivors observe a hangup frame instead
-        // of waiting out their receive timeout. Peers already gone are
-        // fine — the send just fails.
-        for (to, tx) in self.txs.iter().enumerate() {
-            if to != self.rank {
-                let _ = tx.send(RawMsg {
-                    from: self.rank,
-                    tag: Tag::ctrl(),
-                    bytes: Vec::new(),
-                });
-            }
-        }
     }
 }
 
@@ -467,14 +406,14 @@ impl TcpPeer {
         })
     }
 
-    /// Read on until one more frame from `from` is whole and queued on
-    /// `ready` (`Ok(true)`) or the stream is over (`Ok(false)`); `Err` is
-    /// a read that stalled, with whatever it read kept for the next call.
-    fn read_frame(&mut self, from: usize, pool: &mut FramePool) -> std::io::Result<bool> {
+    /// Read on until one more frame is whole and queued on `ready`
+    /// (`Ok(true)`) or the stream is over (`Ok(false)`); `Err` is a read
+    /// that stalled, with whatever it read kept for the next call.
+    fn read_frame(&mut self, pool: &mut FramePool) -> std::io::Result<bool> {
         if self.hung {
             return Ok(false);
         }
-        match self.try_read_frame(from, pool) {
+        match self.try_read_frame(pool) {
             Err(e) if stalled(&e) => Err(e),
             Ok(true) => Ok(true),
             Ok(false) | Err(_) => {
@@ -485,7 +424,7 @@ impl TcpPeer {
         }
     }
 
-    fn try_read_frame(&mut self, from: usize, pool: &mut FramePool) -> std::io::Result<bool> {
+    fn try_read_frame(&mut self, pool: &mut FramePool) -> std::io::Result<bool> {
         while self.header_len < TCP_HEADER_LEN {
             match self.stream.read(&mut self.header[self.header_len..]) {
                 Ok(0) => return Ok(false),
@@ -516,7 +455,6 @@ impl TcpPeer {
         }
         self.header_len = 0;
         self.ready.push_back(RawMsg {
-            from,
             tag: Tag::new(phase, tree, u32::from_le_bytes([c0, c1, c2, c3])),
             bytes: self.payload.take().unwrap_or_default(),
         });
@@ -568,12 +506,9 @@ impl TcpFabric {
     /// what a rank does whenever one of its own reads or writes stalls,
     /// so that a peer blocked on this rank's full socket buffer moves on.
     fn read_ahead(&mut self) {
-        for (from, peer) in self.peers.iter_mut().enumerate() {
-            let Some(peer) = peer.as_mut().filter(|p| !p.hung) else {
-                continue;
-            };
+        for peer in self.peers.iter_mut().flatten().filter(|p| !p.hung) {
             if peer.stream.set_nonblocking(true).is_ok() {
-                while let Ok(true) = peer.read_frame(from, &mut self.pool) {}
+                while let Ok(true) = peer.read_frame(&mut self.pool) {}
                 let _ = peer.stream.set_nonblocking(false);
             }
         }
@@ -653,7 +588,7 @@ impl Fabric for TcpFabric {
             if let Some(msg) = peer.ready.pop_front() {
                 return Ok(msg);
             }
-            match peer.read_frame(from, &mut self.pool) {
+            match peer.read_frame(&mut self.pool) {
                 Ok(true) => {}
                 Ok(false) => return Err(CommError::Disconnected { peer: from }),
                 Err(_) if start.elapsed() >= timeout => {
@@ -670,10 +605,6 @@ impl Fabric for TcpFabric {
     fn recycle(&mut self, frame: Vec<u8>) {
         self.pool.put(frame);
     }
-    // TCP teardown is inherently visible (FIN → EOF on the peer's read →
-    // hangup), so `set_silent_teardown` keeps its no-op default: injected
-    // deaths over TCP are detected fast rather than by timeout.
-    // Documented on `FaultyFabric`.
 }
 
 // ---------------------------------------------------------------------------
@@ -682,16 +613,13 @@ impl Fabric for TcpFabric {
 
 /// Transport middleware that kills the rank after a configured number of
 /// sends — the single place `ExecFaultPlan` deaths are realized, for any
-/// backend. A fired death turns the endpoint silent (`silent = true`,
-/// the in-memory default used by the fault-tolerant allreduce: survivors
-/// must detect the loss by timeout, as with a real dead host) or into an
-/// abrupt hangup (`silent = false`, how a process crash looks to TCP
-/// peers — and the only mode a TCP backend can express, since closing a
-/// socket always emits FIN).
+/// backend. A fired death sends nothing more; whoever holds the dead
+/// endpoint decides what peers see: silence while it is held (a host that
+/// went down — survivors detect the loss by timeout), a hangup once it is
+/// dropped (a process that exited).
 pub struct FaultyFabric<F: Fabric> {
     inner: F,
     die_after_sends: usize,
-    silent_death: bool,
     sends: usize,
     died: bool,
 }
@@ -699,20 +627,13 @@ pub struct FaultyFabric<F: Fabric> {
 impl<F: Fabric> FaultyFabric<F> {
     /// Wrap `inner`; the rank dies once it has issued `die_after_sends`
     /// messages (`usize::MAX` = never).
-    pub fn new(inner: F, die_after_sends: usize, silent_death: bool) -> FaultyFabric<F> {
+    pub fn new(inner: F, die_after_sends: usize) -> FaultyFabric<F> {
         FaultyFabric {
             inner,
             die_after_sends,
-            silent_death,
             sends: 0,
             died: false,
         }
-    }
-
-    /// A wrapper that never fires — useful to keep one fabric type across
-    /// faulted and unfaulted ranks.
-    pub fn immortal(inner: F) -> FaultyFabric<F> {
-        Self::new(inner, usize::MAX, true)
     }
 
     /// True once the injected death has fired.
@@ -745,12 +666,7 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
             // The injected Xid fires here: this rank's endpoint goes
             // silent. Reported as a self-disconnect so the rank's own
             // stack unwinds without touching any peer.
-            if !self.died {
-                self.died = true;
-                if self.silent_death {
-                    self.inner.set_silent_teardown(true);
-                }
-            }
+            self.died = true;
             return Err(CommError::Disconnected {
                 peer: self.inner.rank(),
             });
@@ -765,10 +681,6 @@ impl<F: Fabric> Fabric for FaultyFabric<F> {
 
     fn recycle(&mut self, frame: Vec<u8>) {
         self.inner.recycle(frame);
-    }
-
-    fn set_silent_teardown(&mut self, silent: bool) {
-        self.inner.set_silent_teardown(silent);
     }
 }
 
@@ -872,10 +784,6 @@ impl<F: Fabric> Fabric for CalibratedFabric<F> {
     fn recycle(&mut self, frame: Vec<u8>) {
         self.inner.recycle(frame);
     }
-
-    fn set_silent_teardown(&mut self, silent: bool) {
-        self.inner.set_silent_teardown(silent);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -946,7 +854,6 @@ mod tests {
         });
         f0.send(1, tag, b"ping", WAIT).expect("send");
         let got = f0.recv(1, WAIT).expect("recv");
-        assert_eq!(got.from, 1);
         assert_eq!(got.tag, tag);
         assert_eq!(got.bytes, b"pong");
         let f1 = h.join().expect("peer thread");
@@ -1206,7 +1113,7 @@ mod tests {
     fn faulty_fabric_dies_after_n_sends() {
         let mut world = InMemFabric::mesh(2);
         let f1 = world.pop().expect("two");
-        let mut faulty = FaultyFabric::new(f1, 2, true);
+        let mut faulty = FaultyFabric::new(f1, 2);
         let tag = Tag {
             phase: PHASE_UP,
             tree: 0,
@@ -1227,24 +1134,36 @@ mod tests {
         );
     }
 
-    #[test]
-    fn silent_death_sends_no_hangup() {
-        let mut world = InMemFabric::mesh(2);
-        let f1 = world.pop().expect("two");
-        let mut f0 = world.pop().expect("two");
-        let mut faulty = FaultyFabric::new(f1, 0, true);
-        let tag = Tag {
-            phase: PHASE_UP,
-            tree: 0,
-            chunk: 0,
-        };
-        assert!(faulty.send(0, tag, b"x", WAIT).is_err());
-        drop(faulty); // silent: no ctrl frame may arrive
-        let deadline = Duration::from_millis(50);
+    /// Rank 1 of `world` dies before its first send: while the dead
+    /// endpoint is held, rank 0 hears silence; once it is dropped, a hangup
+    /// on every receive.
+    fn held_death_is_silent_and_dropped_death_hangs_up<F: Fabric>(mut world: Vec<F>) {
+        let f1 = world.pop().expect("two endpoints");
+        let mut f0 = world.pop().expect("two endpoints");
+        let mut dead = FaultyFabric::new(f1, 0);
         assert_eq!(
-            f0.recv(1, deadline),
-            Err(CommError::Timeout { peer: 1, deadline })
+            dead.send(0, Tag::new(PHASE_UP, 0, 0), b"x", WAIT),
+            Err(CommError::Disconnected { peer: 1 })
         );
+        assert!(dead.died());
+        let deadline = Duration::from_millis(50);
+        let silence = Err(CommError::Timeout { peer: 1, deadline });
+        assert_eq!(f0.recv(1, deadline), silence);
+        assert_eq!(f0.recv(1, deadline), silence);
+        drop(dead);
+        let hangup = Err(CommError::Disconnected { peer: 1 });
+        assert_eq!(f0.recv(1, deadline), hangup);
+        assert_eq!(f0.recv(1, deadline), hangup);
+    }
+
+    #[test]
+    fn inmem_held_death_is_silent_and_dropped_death_hangs_up() {
+        held_death_is_silent_and_dropped_death_hangs_up(InMemFabric::mesh(2));
+    }
+
+    #[test]
+    fn tcp_held_death_is_silent_and_dropped_death_hangs_up() {
+        held_death_is_silent_and_dropped_death_hangs_up(TcpFabric::mesh(2).expect("sockets"));
     }
 
     #[test]

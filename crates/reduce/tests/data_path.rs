@@ -159,7 +159,7 @@ impl<F: Fabric> Fabric for Audited<F> {
             .entry((self.rank(), msg.bytes.as_ptr() as usize))
             .or_default() += 1;
         l.delivered += 1;
-        l.order.push((self.rank(), msg.from));
+        l.order.push((self.rank(), from));
         Ok(msg)
     }
     fn recycle(&mut self, frame: Vec<u8>) {
@@ -174,9 +174,6 @@ impl<F: Fabric> Fabric for Audited<F> {
             l.returned += 1;
         }
         self.inner.recycle(frame);
-    }
-    fn set_silent_teardown(&mut self, silent: bool) {
-        self.inner.set_silent_teardown(silent);
     }
 }
 

@@ -1,20 +1,12 @@
-//! `parking_lot`-style lock API over std primitives: guards come straight
-//! out of `lock()` / `read()` / `write()` with no poisoning `Result`. A
-//! panic while holding a lock aborts nothing here — the next locker simply
-//! recovers the inner value, which matches how the workspace uses locks
-//! (short critical sections over plain data).
-
-use std::ops::{Deref, DerefMut};
-use std::sync::TryLockError;
-use std::time::Duration;
+//! `parking_lot`-style lock API over std primitives: std's guards come
+//! straight out of `lock()` / `read()` / `write()` with no poisoning
+//! `Result`. A panic while holding a lock aborts nothing here — the next
+//! locker simply recovers the inner value, which matches how the
+//! workspace uses locks (short critical sections over plain data).
 
 /// Mutual exclusion; `lock()` returns the guard directly.
 #[derive(Default, Debug)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
-
-/// Guard for [`Mutex`]. The inner `Option` exists so [`Condvar::wait`]
-/// can temporarily take std's guard by value and put it back.
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
 
 impl<T> Mutex<T> {
     /// A new mutex holding `value`.
@@ -30,34 +22,13 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
-    }
-
-    /// Try to acquire without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(TryLockError::WouldBlock) => None,
-        }
+    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires `&mut self`).
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard present")
-    }
-}
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard present")
     }
 }
 
@@ -94,49 +65,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// Condition variable working with [`MutexGuard`].
-#[derive(Default, Debug)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// A new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Atomically release the guard's lock and wait for a notification;
-    /// the lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present");
-        guard.0 = Some(self.0.wait(inner).unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// [`Condvar::wait`] with a timeout; returns `true` if the wait timed
-    /// out (the lock is re-acquired either way).
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let inner = guard.0.take().expect("guard present");
-        let (inner, res) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.0 = Some(inner);
-        res.timed_out()
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +75,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]
@@ -159,32 +86,5 @@ mod tests {
         drop((r1, r2));
         *l.write() = 9;
         assert_eq!(*l.read(), 9);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut done = m.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)));
     }
 }

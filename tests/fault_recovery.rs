@@ -13,7 +13,7 @@ use ff_failures::generator::FailureEvent;
 use ff_failures::plan::{action_for, FaultAction, FaultPlan};
 use ff_failures::{FailureKind, Xid};
 use ff_platform::recovery::{train_with_recovery, JobFaults, RecoveryEvent, TrainerConfig};
-use ff_reduce::{allreduce_ft, ExecFaultPlan, InMemProvider};
+use ff_reduce::{allreduce_ft, ExecFaultPlan, InMemProvider, TcpProvider};
 use ff_util::rng::ChaCha8Rng;
 use std::time::Duration;
 
@@ -144,6 +144,29 @@ fn seeded_kill_plans_reproduce_shrink_trajectories_exactly() {
                 assert_eq!(x, want, "rank {r} element {i}");
             }
         }
+    }
+}
+
+#[test]
+fn fault_trajectories_do_not_depend_on_the_transport() {
+    // A dead rank's endpoint is held until its attempt is over, so over
+    // TCP as in memory its death is silence, detected by timeout: one
+    // seeded kill plan yields one FtReport on either fabric.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7C9);
+    for _ in 0..4 {
+        let n = rng.gen_range(3usize..6);
+        let len = rng.gen_range(8usize..64);
+        let chunks = rng.gen_range(1usize..4);
+        let victim = rng.gen_range(0..n);
+        let die_after = rng.gen_range(1usize..4);
+        let inputs: Vec<Vec<f32>> = (0..n)
+            .map(|r| (0..len).map(|i| ((r * 13 + i * 5) % 23) as f32).collect())
+            .collect();
+        let plan = ExecFaultPlan::kill_rank(victim, die_after, Duration::from_millis(250));
+        let inmem = allreduce_ft(inputs.clone(), chunks, &plan, &InMemProvider, None);
+        let tcp = allreduce_ft(inputs, chunks, &plan, &TcpProvider, None);
+        assert_eq!(inmem, tcp, "n={n} victim={victim} die_after={die_after}");
+        assert_eq!(inmem.dead, vec![victim], "n={n} victim={victim}");
     }
 }
 

@@ -454,14 +454,9 @@ fn fluid_cluster_trace(seed: u64) -> (String, String) {
 }
 
 /// FNV-1a with a length fold — the same shape `ff-obs` uses for its trace
-/// digest, reimplemented here so the golden constant is self-contained.
+/// digest.
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^ (data.len() as u64)
+    ff_util::fnv1a64(data) ^ data.len() as u64
 }
 
 // ---------------------------------------------------------------------------
