@@ -27,7 +27,7 @@ fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let cfg = HaiRun {
         seed: arg(&args, "--seed", 7),
@@ -88,8 +88,8 @@ fn main() {
     println!("trace digest: {}", report.digest);
 
     if let Some(path) = trace_path {
-        let json = export_chrome_json(&report.recorder);
-        std::fs::write(&path, json).expect("write trace");
+        std::fs::write(&path, export_chrome_json(&report.recorder))?;
         println!("Perfetto trace written to {path}");
     }
+    Ok(())
 }

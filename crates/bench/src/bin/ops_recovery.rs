@@ -19,7 +19,7 @@ use ff_platform::recovery::{
 };
 use fireflyer::ops::checkpoint_cadence_sweep;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let trace_path = args
         .iter()
@@ -84,8 +84,7 @@ Availability numbers derived from Tables VI–VIII:"
         storage_rejoins: vec![(18, 2)],
     };
     let recorder = trace_path.as_ref().map(|_| Recorder::new());
-    let faulty =
-        train_with_recovery_traced(&cfg, &faults, recorder.as_ref()).expect("recovery run");
+    let faulty = train_with_recovery_traced(&cfg, &faults, recorder.as_ref())?;
     for e in &faulty.events {
         let line = match e {
             RecoveryEvent::Checkpointed { step } => format!("step {step:>3}: checkpoint saved"),
@@ -122,7 +121,7 @@ Availability numbers derived from Tables VI–VIII:"
         };
         println!("  {line}");
     }
-    let clean = train_with_recovery(&cfg, &JobFaults::none()).expect("baseline run");
+    let clean = train_with_recovery(&cfg, &JobFaults::none())?;
     println!(
         "parameters after recovery: {} the fault-free run",
         if faulty.final_params == clean.final_params {
@@ -139,9 +138,10 @@ Availability numbers derived from Tables VI–VIII:"
     );
 
     if let (Some(path), Some(rec)) = (trace_path, recorder) {
-        std::fs::write(&path, export_chrome_json(&rec)).expect("write trace file");
+        std::fs::write(&path, export_chrome_json(&rec))?;
         println!("\n{}", summary_text(&rec));
         println!("trace digest : {}", rec.digest());
         println!("trace written: {path} (open in https://ui.perfetto.dev)");
     }
+    Ok(())
 }

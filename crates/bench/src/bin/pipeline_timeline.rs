@@ -144,11 +144,10 @@ fn main() -> std::io::Result<()> {
     for (label, start, finish) in &timeline {
         let s = to_col(*start).min(width);
         let f = to_col(*finish).clamp(s + 1, width);
-        let mut bar = vec![b' '; width];
-        for cell in bar.iter_mut().take(f).skip(s) {
-            *cell = b'#';
-        }
-        println!("{label:>18} |{}|", String::from_utf8(bar).expect("ascii"));
+        let bar: String = (0..width)
+            .map(|i| if (s..f).contains(&i) { '#' } else { ' ' })
+            .collect();
+        println!("{label:>18} |{bar}|");
     }
     println!(
         "\nmakespan {:.3} ms — stage k of chunk c overlaps stage k−1 of chunk c+1 (Algorithm 1).",

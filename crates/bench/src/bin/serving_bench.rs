@@ -24,7 +24,7 @@ fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let base = ServeRun {
         seed: arg(&args, "--seed", 7),
@@ -153,8 +153,8 @@ fn main() {
     println!("trace digest: {}", rs.digest);
 
     if let Some(path) = trace_path {
-        let j = export_chrome_json(&rs.recorder);
-        std::fs::write(&path, j).expect("write trace");
+        std::fs::write(&path, export_chrome_json(&rs.recorder))?;
         println!("Perfetto trace written to {path}");
     }
+    Ok(())
 }

@@ -26,10 +26,11 @@
 //!
 //! [`Platform`]: ff_platform::Platform
 
+use crate::serving::submit_train_mix;
 use ff_failures::{FailureGenerator, FaultPlan, GrayPlan, GrayRates};
 use ff_hw::NodeSpec;
 use ff_obs::Histogram;
-use ff_platform::{DetectorConfig, JobSpec, Platform, PlatformConfig, ServingSpec, TaskId};
+use ff_platform::{DetectorConfig, PlatformConfig, ServingSpec};
 use ff_reduce::{jobflow, ClusterConfig, ClusterModel};
 use ff_util::rng::ChaCha8Rng;
 use ff_util::scengen::{ArrivalConfig, ArrivalTrace, SweepGrid};
@@ -284,26 +285,6 @@ fn nominal_step_s(n: usize) -> f64 {
     jobflow::ring_edge_bytes(n.max(2), STEP_BYTES) / LINK_BPS
 }
 
-/// The standing training mix over the nodes serving does not pin: jobs
-/// outlive the horizon (throughput is node-steps banked, not jobs
-/// finished), oversubscribing headroom by 20% so the queue never drains.
-fn submit_mix(p: &mut Platform, rng: &mut ChaCha8Rng, headroom: usize) -> Vec<(TaskId, usize)> {
-    let mut jobs = Vec::new();
-    let mut want = headroom + headroom / 5;
-    let mut i = 0usize;
-    while want > 0 {
-        let need = rng.gen_range(4..17usize).min(headroom.max(4));
-        let spec = JobSpec::new(format!("train-{i}"), need, 1_000_000)
-            .priority(rng.gen_range(0..6i32))
-            .step_bytes(STEP_BYTES)
-            .ckpt_bytes(CKPT_BYTES);
-        jobs.push((p.submit(spec).expect("mix job fits"), need));
-        want = want.saturating_sub(need);
-        i += 1;
-    }
-    jobs
-}
-
 /// Run one cell: a full fluid-mode platform replay. A plain `fn` so the
 /// sweep can hand it to [`par::map_weighted`] as a pointer; a
 /// pure function of its spec, which is what the thread-count and
@@ -359,7 +340,7 @@ pub fn run_cell(c: CellSpec) -> ScenarioOutcome {
 
     let mut rng = ChaCha8Rng::seed_from_u64(c.seed);
     let headroom = compute.saturating_sub(replicas as usize * NODES_PER_REPLICA);
-    let jobs = submit_mix(&mut p, &mut rng, headroom);
+    let jobs = submit_train_mix(&mut p, &mut rng, headroom, STEP_BYTES, CKPT_BYTES);
 
     let mut gen = FailureGenerator::paper_calibrated(c.seed, total);
     gen.with_storage_failures(STORAGE_FAILS_PER_YEAR);
@@ -504,7 +485,7 @@ fn distinct<F: Fn(&ScenarioOutcome) -> f64>(outcomes: &[ScenarioOutcome], f: F) 
             vs.push(v);
         }
     }
-    vs.sort_by(|a, b| a.partial_cmp(b).expect("finite axis values"));
+    vs.sort_by(f64::total_cmp);
     vs
 }
 
@@ -536,7 +517,7 @@ pub fn whatif_rows(outcomes: &[ScenarioOutcome]) -> Vec<WhatIfRow> {
             let best = cols
                 .iter()
                 .cloned()
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite goodput"))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(ck, _, _)| ck)
                 .unwrap_or(0);
             (rate, cols, best)

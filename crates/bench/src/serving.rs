@@ -80,13 +80,16 @@ pub struct ServeReport {
     pub recorder: Arc<Recorder>,
 }
 
-/// A standing training mix over the nodes serving does not pin:
-/// long-running jobs (they outlive the horizon) so training throughput is
-/// measured as node-steps banked, not jobs finished.
-fn submit_train_mix(
+/// The standing training mix over the nodes serving does not pin: jobs
+/// outlive the horizon (throughput is node-steps banked, not jobs
+/// finished), oversubscribing headroom by 20% so the queue never drains.
+/// Each job moves `step_bytes` per step and `ckpt_bytes` per checkpoint.
+pub(crate) fn submit_train_mix(
     p: &mut Platform,
     rng: &mut ChaCha8Rng,
     headroom: usize,
+    step_bytes: f64,
+    ckpt_bytes: f64,
 ) -> Vec<(TaskId, usize)> {
     let mut jobs = Vec::new();
     let mut want = headroom + headroom / 5;
@@ -95,8 +98,8 @@ fn submit_train_mix(
         let need = rng.gen_range(4..17usize).min(headroom.max(4));
         let spec = JobSpec::new(format!("train-{i}"), need, 1_000_000)
             .priority(rng.gen_range(0..6i32))
-            .step_bytes(16.0 * (1u64 << 30) as f64)
-            .ckpt_bytes(32.0 * (1u64 << 30) as f64);
+            .step_bytes(step_bytes)
+            .ckpt_bytes(ckpt_bytes);
         jobs.push((p.submit(spec).expect("mix job fits"), need));
         want = want.saturating_sub(need);
         i += 1;
@@ -141,7 +144,9 @@ pub fn run(cfg: &ServeRun) -> ServeReport {
     });
 
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let jobs = submit_train_mix(&mut p, &mut rng, compute.saturating_sub(serving_nodes));
+    let gib = (1u64 << 30) as f64;
+    let headroom = compute.saturating_sub(serving_nodes);
+    let jobs = submit_train_mix(&mut p, &mut rng, headroom, 16.0 * gib, 32.0 * gib);
     if cfg.failure_scale > 0.0 {
         let plan = FaultPlan::generate(cfg.seed, total, cfg.horizon_s as f64, cfg.failure_scale);
         p.apply_fault_plan(&plan);

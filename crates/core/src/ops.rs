@@ -8,7 +8,8 @@
 //! The report quantifies the §VII-A claim that with 5-minute checkpoints
 //! "the overhead from disaster recovery is minimal".
 
-use ff_failures::{FailureEvent, FailureGenerator, FailureKind};
+use ff_failures::plan::action_for;
+use ff_failures::{FailureEvent, FailureGenerator, FaultAction};
 use ff_platform::{JobSpec, PlatformConfig};
 
 /// Configuration of an operations run.
@@ -107,15 +108,13 @@ impl OpsSimulation {
             while ei < events.len() && events[ei].at_s <= now as f64 {
                 let e: &FailureEvent = &events[ei];
                 ei += 1;
-                let needs_action = match e.kind {
-                    FailureKind::GpuXid(x) => x.needs_node_action(),
-                    FailureKind::MainMemoryEcc => true,
-                    // Flash cuts break a link, not a node; tasks retry.
-                    FailureKind::NetworkFlashCut => false,
-                    // Storage faults are absorbed by the storage plane
-                    // (chain failover + re-sync), not the compute pool.
-                    FailureKind::StorageTargetFailure => false,
-                };
+                // Table V: a fault that kills or corrupts a rank takes its
+                // node out. Flash cuts only degrade a link, and storage
+                // faults stay in the storage plane.
+                let needs_action = matches!(
+                    action_for(e.kind, e.node),
+                    FaultAction::KillRank { .. } | FaultAction::CorruptData { .. }
+                );
                 if needs_action && !repairs.iter().any(|&(_, n)| n == e.node) {
                     node_failures += 1;
                     platform.fail_node(e.node);

@@ -118,7 +118,7 @@ impl FailureGenerator {
                 });
             }
         }
-        events.sort_by(|a, b| a.at_s.partial_cmp(&b.at_s).expect("finite times"));
+        events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s));
         events
     }
 }

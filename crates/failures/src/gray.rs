@@ -225,12 +225,7 @@ impl GrayPlan {
                 events.push(GrayEvent::new(t, node, duration_s, fault));
             }
         }
-        events.sort_by(|a, b| {
-            a.at_s
-                .partial_cmp(&b.at_s)
-                .unwrap()
-                .then(a.node.cmp(&b.node))
-        });
+        events.sort_by(|a, b| a.at_s.total_cmp(&b.at_s).then(a.node.cmp(&b.node)));
         GrayPlan { events }
     }
 

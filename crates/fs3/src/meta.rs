@@ -64,7 +64,7 @@ impl FileAttr {
 
     fn decode(b: &[u8]) -> FileAttr {
         assert_eq!(b.len(), 41, "corrupt inode record");
-        let u = |r: std::ops::Range<usize>| u64::from_be_bytes(b[r].try_into().unwrap());
+        let u = |r: std::ops::Range<usize>| u64::from_be_bytes(b[r].try_into().expect("8 bytes"));
         FileAttr {
             ino: InodeId(u(0..8)),
             kind: if b[8] == 0 {

@@ -11,7 +11,8 @@ use ff_3fs::client::{Fs3Client, FsError};
 use ff_3fs::meta::{FileAttr, MetaError, ROOT};
 use ff_obs::{Recorder, TrackId};
 use ff_util::bytes::Bytes;
-use std::sync::{Arc, Mutex};
+use ff_util::sync::Mutex;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// One tensor's location inside a checkpoint file.
@@ -89,12 +90,12 @@ impl From<CkptError> for ff_util::FfError {
 /// checksumming must not be the checkpoint bottleneck.
 fn fnv1a(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        h ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let (words, tail) = data.as_chunks::<8>();
+    for &w in words {
+        h ^= u64::from_le_bytes(w);
         h = h.wrapping_mul(0x100000001b3);
     }
-    for &b in words.remainder() {
+    for &b in tail {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -149,11 +150,11 @@ impl CheckpointManager {
     /// training loop records), with the byte volume as the span value.
     pub fn attach_recorder(&self, rec: &Arc<Recorder>, track: &str) {
         let id = rec.track(track);
-        *self.obs.lock().expect("obs lock") = Some((Arc::clone(rec), id));
+        *self.obs.lock() = Some((Arc::clone(rec), id));
     }
 
     fn note(&self, name: &str, step: u64, bytes: u64, instant: bool) {
-        if let Some((rec, track)) = self.obs.lock().expect("obs lock").as_ref() {
+        if let Some((rec, track)) = self.obs.lock().as_ref() {
             let ts = step.saturating_mul(1_000_000_000);
             if instant {
                 rec.instant(*track, name, ts, bytes as f64);
@@ -172,7 +173,7 @@ impl CheckpointManager {
     /// With `block`, wait for every in-flight save.
     fn reap(&self, block: bool) {
         let handles: Vec<_> = {
-            let mut pending = self.pending.lock().expect("pending lock");
+            let mut pending = self.pending.lock();
             if block {
                 pending.drain(..).collect()
             } else {
@@ -193,8 +194,7 @@ impl CheckpointManager {
                 "background save thread panicked".into(),
             )));
             if let Err(e) = result {
-                let mut slot = self.async_error.lock().expect("error lock");
-                slot.get_or_insert(e);
+                self.async_error.lock().get_or_insert(e);
             }
         }
     }
@@ -202,14 +202,14 @@ impl CheckpointManager {
     /// The stashed background-save failure, if any, clearing it.
     fn take_async_error(&self) -> Option<CkptError> {
         self.reap(false);
-        self.async_error.lock().expect("error lock").take()
+        self.async_error.lock().take()
     }
 
     /// Block until all background saves land; the first failure (from
     /// these or any earlier async save) is returned exactly once.
     pub fn wait_saves(&self) -> Result<(), CkptError> {
         self.reap(true);
-        match self.async_error.lock().expect("error lock").take() {
+        match self.async_error.lock().take() {
             Some(e) => Err(e),
             None => Ok(()),
         }
@@ -300,7 +300,7 @@ impl CheckpointManager {
         self.reap(false);
         let mgr = Arc::clone(self);
         let handle = std::thread::spawn(move || mgr.save_inner(step, &tensors));
-        self.pending.lock().expect("pending lock").push(handle);
+        self.pending.lock().push(handle);
     }
 
     /// All fully-written checkpoint steps, ascending. A step counts only
@@ -416,7 +416,7 @@ impl Drop for CheckpointManager {
         // Background threads hold an Arc to the manager, so by the time
         // Drop runs they have all finished; joining cannot block.
         self.reap(true);
-        if let Some(e) = self.async_error.lock().expect("error lock").take() {
+        if let Some(e) = self.async_error.lock().take() {
             eprintln!(
                 "CheckpointManager dropped with an unreported background save failure: {e:?}"
             );
@@ -657,6 +657,13 @@ mod tests {
         for cut in 0..full.len() {
             assert_eq!(decode_meta(&full[..cut]), None, "truncated at {cut}");
         }
+    }
+
+    #[test]
+    fn word_wise_checksum_is_pinned() {
+        // 45 = 8·5 + 5 bytes: five whole words, then the byte-wise tail.
+        let data: Vec<u8> = (0..45u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        assert_eq!(fnv1a(&data), 0x4368_f85a_5e47_747c);
     }
 
     #[test]

@@ -264,8 +264,10 @@ fn encode_params(p: &[f32]) -> Vec<u8> {
 }
 
 fn decode_params(b: &[u8]) -> Vec<f32> {
-    b.chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+    b.as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&c| f32::from_le_bytes(c))
         .collect()
 }
 
@@ -666,6 +668,23 @@ mod tests {
         assert_eq!(r.replayed_steps(), 0, "flash cuts cost no work");
         let clean = train_with_recovery(&cfg, &JobFaults::none()).unwrap();
         assert_eq!(r.final_params, clean.final_params);
+    }
+
+    #[test]
+    fn decoded_params_keep_every_bit() {
+        // 1.0, -0.0, the smallest subnormal, a quiet NaN with a payload and a
+        // signalling one, then two stray bytes that are not a whole f32.
+        let bits = [
+            0x3f80_0000,
+            0x8000_0000,
+            0x0000_0001,
+            0x7fc0_1234,
+            0xff80_0001u32,
+        ];
+        let mut bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+        bytes.extend([0xab, 0xcd]);
+        let decoded: Vec<u32> = decode_params(&bytes).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(decoded, bits);
     }
 
     #[test]

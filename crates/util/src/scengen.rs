@@ -153,7 +153,7 @@ impl Scenario {
                 let route = (0..len)
                     .map(|_| {
                         let r = rng.gen_range(0..n_res);
-                        (r, *rng.choose(&WEIGHTS).unwrap())
+                        (r, *rng.choose(&WEIGHTS).expect("WEIGHTS is non-empty"))
                     })
                     .collect();
                 starts += 1;
@@ -164,7 +164,7 @@ impl Scenario {
             } else if roll < 70 {
                 ScenEvent::Degrade {
                     resource: rng.gen_range(0..n_res),
-                    factor: *rng.choose(&FACTORS).unwrap(),
+                    factor: *rng.choose(&FACTORS).expect("FACTORS is non-empty"),
                 }
             } else if roll < 80 {
                 ScenEvent::Restore {
@@ -344,7 +344,7 @@ impl ArrivalTrace {
                 (start, start + cfg.burst_duration_s.min(cfg.duration_s))
             })
             .collect();
-        bursts.sort_by(|a, b| a.partial_cmp(b).expect("finite burst times"));
+        bursts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
         let rate_at = |t: f64| {
             let frac = (t / cfg.diurnal_period_s).fract();

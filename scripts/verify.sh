@@ -49,38 +49,27 @@ echo "==> gray-failure detector smoke (release, vs committed BENCH_detector.json
 # the paper grid must re-render BENCH_detector.json byte for byte.
 cargo test -q --release --offline -p ff-bench --test detector_smoke
 
-echo "==> panic ratchet (unwrap()/expect(/panic! in non-test code)"
+echo "==> panic ratchet (unwrap/expect/panic!/unreachable!/todo!/unimplemented! in product code)"
 # Every one of these is a way for input, a peer or a caller to take the
 # process down instead of getting a typed error, so the count only goes
-# down: every line under crates/*/src outside the items that carry
-# #[cfg(test)], perfbench (the benchmark's own directory) excluded. Lower
-# PANIC_BUDGET when a PR removes some; a PR that needs one more has to
-# remove another.
-PANIC_BUDGET=134
-# A skipped item starts at the first line after its attributes and
-# comments. A single-line item ends at its `;` (a variant or field at its
-# `,`), a block item where its brackets close; strings, char literals and
-# line comments do not count toward the brackets.
-panics=$(find crates/*/src -name '*.rs' -not -path '*/bin/perfbench/*' -print0 |
-    xargs -0 awk 'FNR == 1 { skip = 0; pend = 0 }
-        skip {
-            if (pend && ($0 ~ /^[ \t]*$/ || $0 ~ /^[ \t]*(#\[|\/\/)/)) next
-            pend = 0
-            s = $0
-            gsub(/\\./, "", s); gsub(/"[^"]*"/, "", s); gsub(/\047[^\047]\047/, "", s)
-            sub(/\/\/.*/, "", s)
-            opened += gsub(/\{/, "&", s)
-            depth += gsub(/[{([]/, "&", s) - gsub(/[})\]]/, "&", s)
-            if (depth <= 0 && (opened || s ~ /[;,][ \t]*$/)) skip = 0
-            next
-        }
-        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; pend = 1; depth = 0; opened = 0; next }
-        { n += gsub(/unwrap\(\)|expect\(|panic!/, "&") }
-        END { print n + 0 }' |
-    awk '{ total += $1 } END { print total + 0 }')
-echo "$panics panic sites (budget $PANIC_BUDGET)"
-if [ "$panics" -gt "$PANIC_BUDGET" ]; then
-    echo "panic ratchet: $panics > $PANIC_BUDGET" >&2
+# down. Clippy counts them over --lib --bins: #[cfg(test)] code, tests and
+# doc examples are not compiled there, so the compiler decides what is test
+# code, and --force-warn means no #[allow] can hide a site. perfbench (the
+# benchmark's own directory) is left out. Lower PANIC_BUDGET to the new
+# count when a PR removes sites; a PR that needs one more has to remove
+# another.
+PANIC_BUDGET=107
+lints=(unwrap_used expect_used panic unreachable todo unimplemented)
+# A failing clippy run fails the script here, before anything is counted.
+json=$(cargo clippy --offline --workspace --lib --bins --message-format=json -- \
+    -A clippy::all "${lints[@]/#/--force-warn=clippy::}")
+mapfile -t sites < <(grep -v '/bin/perfbench/' <<<"$json" |
+    grep -E "\"code\":\{\"code\":\"clippy::($(IFS='|'; echo "${lints[*]}"))\"" |
+    grep -oE -- '--> [^\\]+' | cut -c5-)
+echo "${#sites[@]} panic sites (budget $PANIC_BUDGET)"
+if [ "${#sites[@]}" -gt "$PANIC_BUDGET" ]; then
+    printf '%s\n' "${sites[@]}" >&2
+    echo "panic ratchet: ${#sites[@]} > $PANIC_BUDGET" >&2
     exit 1
 fi
 
